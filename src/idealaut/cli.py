@@ -314,6 +314,37 @@ def _read_inputs(raw_inputs) -> list[str]:
     return list(raw_inputs)
 
 
+# JSON types of the batch options the handlers read
+_OPTION_TYPES = {"seed": int, "max_p": int, "max_deg": int, "all_witnesses": bool}
+
+
+def _batch_request(line: str) -> Request:
+    """One batch line as a Request; ParseError when the line is malformed."""
+    try:
+        entry = json.loads(line)
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
+        raise ParseError(f"not a JSON value: {exc}") from exc
+    if not isinstance(entry, dict):
+        raise ParseError("a request must be a JSON object")
+    command = entry.get("command", "")
+    ring = entry.get("ring")
+    inputs = entry.get("inputs", [])
+    options = entry.get("options", {})
+    if not isinstance(command, str):
+        raise ParseError("'command' must be a string")
+    if not isinstance(ring, str):
+        raise ParseError("'ring' must be a string")
+    if not isinstance(inputs, list) or not all(isinstance(text, str) for text in inputs):
+        raise ParseError("'inputs' must be a list of strings")
+    if not isinstance(options, dict):
+        raise ParseError("'options' must be an object")
+    for key, value in options.items():
+        expected = _OPTION_TYPES.get(key)
+        if expected is not None and type(value) is not expected:
+            raise ParseError(f"option {key!r} must be of type {expected.__name__}")
+    return Request(command, parse_ring(ring), inputs, options)
+
+
 def _run_batch(path: str, out) -> int:
     if path == "-":
         lines = sys.stdin.read().splitlines()
@@ -326,22 +357,16 @@ def _run_batch(path: str, out) -> int:
         if not line:
             continue
         try:
-            entry = json.loads(line)
-            ring = parse_ring(entry["ring"])
-            request = Request(
-                entry.get("command", ""),
-                ring,
-                entry.get("inputs", []),
-                entry.get("options", {}),
-            )
-            record, code = run(request)
-        except (json.JSONDecodeError, KeyError, ParseError) as exc:
+            request = _batch_request(line)
+        except ParseError as exc:
             record = {
                 "schema": SCHEMA,
                 "status": "error",
                 "error": {"code": "syntax_error", "message": f"bad batch line: {exc}"},
             }
             code = EXIT_SYNTAX
+        else:
+            record, code = run(request)
         print(json.dumps(record), file=out)
         if worst == EXIT_OK and code != EXIT_OK:
             worst = code

@@ -150,7 +150,7 @@ def enumerate_auts(
     maps = [AffineMap(ring.elem(a), ring.elem(b)) for a, b in pairs]
     if check_truncation:
         for m in maps:
-            if not truncated_ideal_check(f, m, 2 * n):
+            if not truncated_ideal_check(f, m, 2 * n, max_p=max_p, max_deg=max_deg):
                 raise TheoryViolation(
                     f"{m} satisfies the scale identity but fails the ideal check"
                 )
@@ -165,7 +165,14 @@ def enumerate_auts(
     )
 
 
-def truncated_ideal_check(f: Poly, m: AffineMap, bound: int) -> bool:
+def truncated_ideal_check(
+    f: Poly,
+    m: AffineMap,
+    bound: int,
+    *,
+    max_p: int = MAX_MODULUS,
+    max_deg: int = MAX_DEGREE,
+) -> bool:
     """Does (alpha, beta) map the ideal of f into itself in all degrees <= bound?
 
     Checks that the image of every generator t**i * f (for i up to
@@ -173,7 +180,7 @@ def truncated_ideal_check(f: Poly, m: AffineMap, bound: int) -> bool:
     together with injectivity (alpha is a unit) this certifies a bijection
     of the truncated ideal.
     """
-    _check_input(f, MAX_MODULUS, MAX_DEGREE)
+    _check_input(f, max_p, max_deg)
     p = f.ring.p
     c = _monic_ints(f)
     n = len(c) - 1

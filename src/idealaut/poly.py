@@ -1,16 +1,23 @@
 """Dense exact univariate polynomials over Z, Q and GF(p).
 
-Coefficients are stored ascending by exponent (``coeff(j)`` is the
-coefficient of ``t**j``); the zero polynomial is the empty coefficient
-list and reports ``degree() is None`` so callers must handle it
-explicitly.  "Monic" means the leading coefficient is a *unit* of the
-ring (so ``-t**2 + 1`` is monic over Z); :meth:`Poly.monic` rescales the
-leading unit to 1.
+Coefficients are stored ascending by exponent as raw values of the ring:
+an ``int`` for Z, a ``fractions.Fraction`` for Q and an ``int`` residue in
+``[0, p)`` for GF(p).  Each operation reads the modulus once
+(``ring.char``, 0 for Z and Q) and loops over plain numbers; over GF(p)
+each result coefficient is reduced once.  :class:`RingElement` appears only
+at the boundary: ``Poly(ring, coeffs)`` coerces its arguments with
+``ring.elem``, and ``coeff(j)`` (the coefficient of ``t**j``),
+``leading()``, ``coeffs`` and ``evaluate`` return ring elements.
+
+The zero polynomial is the empty coefficient list and reports
+``degree() is None`` so callers must handle it explicitly.  "Monic" means
+the leading coefficient is a *unit* of the ring (so ``-t**2 + 1`` is monic
+over Z); :meth:`Poly.monic` rescales the leading unit to 1.
 
 Beyond the arithmetic operators this module provides affine substitution
-``f(alpha*t + beta)`` (Horner over the polynomial ring), gcd, the
-multiplicity-layer squarefree decomposition in characteristic 0 and p,
-and the root-centroid utility :func:`center`.
+``f(alpha*t + beta)`` (a Taylor shift by beta, then c_j *= alpha**j),
+gcd, the multiplicity-layer squarefree decomposition in characteristic 0
+and p, and the root-centroid utility :func:`center`.
 """
 
 from math import gcd as _int_gcd
@@ -28,17 +35,31 @@ from .errors import (
 from .ring import QQ, ZZ, Ring, RingElement
 
 
+def _reduce(values: list, p: int) -> list:
+    """values mod p over GF(p) (p > 0); Z and Q values pass through."""
+    return [v % p for v in values] if p else values
+
+
 class Poly:
     """Immutable dense polynomial; construct with coefficients ascending."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "_values")
 
     def __init__(self, ring: Ring, coeffs=()):
-        cs = [ring.elem(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
+        self._set(ring, [ring.elem(c).value for c in coeffs])
+
+    @classmethod
+    def _of(cls, ring: Ring, values: list) -> "Poly":
+        """Internal constructor: raw values already reduced for ring, ascending."""
+        f = object.__new__(cls)
+        f._set(ring, values)
+        return f
+
+    def _set(self, ring: Ring, values: list):
+        while values and not values[-1]:
+            values.pop()
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_values", tuple(values))
 
     def __setattr__(self, name, val):
         raise AttributeError("Poly is immutable")
@@ -47,7 +68,7 @@ class Poly:
 
     @classmethod
     def zero(cls, ring: Ring) -> "Poly":
-        return cls(ring, ())
+        return cls._of(ring, [])
 
     @classmethod
     def one(cls, ring: Ring) -> "Poly":
@@ -70,39 +91,51 @@ class Poly:
 
     def degree(self):
         """Degree as an int, or None for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else None
+        return len(self._values) - 1 if self._values else None
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._values
+
+    @property
+    def coeffs(self) -> tuple:
+        """All coefficients as ring elements, ascending by exponent."""
+        ring = self.ring
+        return tuple(RingElement(ring, v) for v in self._values)
 
     def coeff(self, j: int) -> RingElement:
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
+        if 0 <= j < len(self._values):
+            return RingElement(self.ring, self._values[j])
         return self.ring.zero()
 
     def leading(self) -> RingElement:
-        if not self.coeffs:
+        if not self._values:
             raise DivisionByZero("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return RingElement(self.ring, self._values[-1])
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.leading().is_unit
+        return bool(self._values) and self.leading().is_unit
 
     def monic(self) -> "Poly":
         """Rescale so the leading coefficient is exactly 1."""
         if not self.is_monic:
             raise NotMonic(f"leading coefficient of {self} is not a unit of {self.ring}")
-        lead = self.leading()
-        if lead.is_one:
+        lead = self._values[-1]
+        if lead == 1:
             return self
-        inv = lead.inverse()
-        return Poly(self.ring, [c * inv for c in self.coeffs])
+        inv = self.leading().inverse().value
+        return Poly._of(self.ring, _reduce([v * inv for v in self._values], self.ring.char))
 
     def _require_same_ring(self, other: "Poly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise MixedRings(f"polynomials over {self.ring} and {other.ring}")
+
+    def _scalar(self, x):
+        """The raw value of a scalar argument coerced into self.ring."""
+        if isinstance(x, RingElement) and x.ring is self.ring:
+            return x.value
+        return self.ring.elem(x).value
 
     # -- arithmetic ---------------------------------------------------
 
@@ -110,16 +143,16 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_same_ring(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self._values, other._values
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for j, c in enumerate(b):
-            out[j] = out[j] + c
-        return Poly(self.ring, out)
+        for j, v in enumerate(b):
+            out[j] += v
+        return Poly._of(self.ring, _reduce(out, self.ring.char))
 
     def __neg__(self):
-        return Poly(self.ring, [-c for c in self.coeffs])
+        return Poly._of(self.ring, _reduce([-v for v in self._values], self.ring.char))
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -127,22 +160,22 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
+        ring = self.ring
         if isinstance(other, (RingElement, int)):
-            s = self.ring.elem(other)
-            return Poly(self.ring, [c * s for c in self.coeffs])
+            s = self._scalar(other)
+            return Poly._of(ring, _reduce([v * s for v in self._values], ring.char))
         if not isinstance(other, Poly):
             return NotImplemented
         self._require_same_ring(other)
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.ring)
-        zero = self.ring.zero()
-        out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.ring, out)
+        a, b = self._values, other._values
+        if not a or not b:
+            return Poly.zero(ring)
+        out = [ring.zero().value] * (len(a) + len(b) - 1)  # Fraction(0) over Q keeps Fractions
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        return Poly._of(ring, _reduce(out, ring.char))
 
     __rmul__ = __mul__
 
@@ -165,21 +198,31 @@ class Poly:
         self._require_same_ring(other)
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        if self.is_zero or len(self.coeffs) < len(other.coeffs):
-            return Poly.zero(self.ring), self
-        lead = other.leading()
-        rem = list(self.coeffs)
-        qlen = len(rem) - len(other.coeffs) + 1
-        quot = [self.ring.zero()] * qlen
-        for k in range(qlen - 1, -1, -1):
-            top = rem[k + len(other.coeffs) - 1]
-            if top.is_zero:
-                continue
-            q = top.div_exact(lead)
+        ring = self.ring
+        b = other._values
+        m = len(b) - 1
+        if len(self._values) <= m:
+            return Poly.zero(ring), self
+        p = ring.char
+        lead = b[-1]
+        inv = None if ring.kind == "Z" else other.leading().inverse().value
+        rem = list(self._values)
+        quot = [0] * (len(rem) - m)
+        # over GF(p) the remainder entries are reduced only when read as the
+        # next top coefficient, and once more when the remainder is returned
+        for k in range(len(quot) - 1, -1, -1):
+            top = rem[k + m] % p if p else rem[k + m]
+            if inv is None:
+                q, r = divmod(top, lead)
+                if r:
+                    raise InexactDivision(f"{lead} does not divide {top} in Z")
+            else:
+                q = top * inv % p if p else top * inv
             quot[k] = q
-            for j, c in enumerate(other.coeffs):
-                rem[k + j] = rem[k + j] - q * c
-        return Poly(self.ring, quot), Poly(self.ring, rem[: len(other.coeffs) - 1])
+            if q:
+                for j in range(m):
+                    rem[k + j] -= q * b[j]
+        return Poly._of(ring, quot), Poly._of(ring, _reduce(rem[:m], p))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -199,36 +242,54 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
+        return self._values == other._values and self.ring == other.ring
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        return hash((self.ring, self._values))
 
     # -- evaluation and substitution ----------------------------------
 
     def evaluate(self, x) -> RingElement:
-        x = self.ring.elem(x)
-        acc = self.ring.zero()
-        for c in reversed(self.coeffs):
+        x = self._scalar(x)
+        p = self.ring.char
+        acc = self.ring.zero().value
+        for c in reversed(self._values):
             acc = acc * x + c
-        return acc
+            if p:
+                acc %= p
+        return RingElement(self.ring, acc)
 
     def derivative(self) -> "Poly":
-        return Poly(self.ring, [c * j for j, c in enumerate(self.coeffs)][1:])
+        out = [v * j for j, v in enumerate(self._values)][1:]
+        return Poly._of(self.ring, _reduce(out, self.ring.char))
 
     def affine_substitute(self, alpha, beta) -> "Poly":
-        """f(alpha*t + beta), computed exactly; alpha must be a unit."""
-        alpha = self.ring.elem(alpha)
-        beta = self.ring.elem(beta)
-        if not alpha.is_unit:
-            raise NotAUnit(f"{alpha} is not a unit of {self.ring}")
-        if self.is_zero:
-            return self
-        image = Poly(self.ring, (beta, alpha))
-        acc = Poly(self.ring, (self.coeffs[-1],))
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * image + Poly(self.ring, (c,))
-        return acc
+        """f(alpha*t + beta), computed exactly; alpha must be a unit.
+
+        A Taylor shift by beta gives g(t) = f(t + beta); scaling c_j by
+        alpha**j then gives g(alpha*t).
+        """
+        ring = self.ring
+        a = self._scalar(alpha)
+        b = self._scalar(beta)
+        if not RingElement(ring, a).is_unit:
+            raise NotAUnit(f"{a} is not a unit of {ring}")
+        p = ring.char
+        c = list(self._values)
+        n = len(c) - 1
+        if b:
+            for i in range(n):
+                for j in range(n - 1, i - 1, -1):
+                    c[j] += b * c[j + 1]
+                    if p:
+                        c[j] %= p
+        if a != 1:
+            power = 1
+            for j in range(1, n + 1):
+                power = power * a % p if p else power * a
+                c[j] *= power
+            c = _reduce(c, p)
+        return Poly._of(ring, c)
 
     def shifted(self, z) -> "Poly":
         """f(t + z)."""
@@ -252,20 +313,20 @@ class Poly:
 
     def map_ring(self, target: Ring) -> "Poly":
         """Re-interpret coefficients in another ring (must embed exactly)."""
-        return Poly(target, [c.value for c in self.coeffs])
+        return Poly(target, self._values)
 
     def sort_key(self):
-        return (len(self.coeffs), tuple(c.sort_key() for c in self.coeffs))
+        return (len(self._values), tuple(c.sort_key() for c in self.coeffs))
 
     def __str__(self):
         if self.is_zero:
             return "0"
         parts = []
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[j]
-            if c.is_zero:
+        for j in range(len(self._values) - 1, -1, -1):
+            v = self._values[j]
+            if not v:
                 continue
-            text = str(c)
+            text = str(v)
             negative = text.startswith("-")
             mag = text[1:] if negative else text
             if j == 0:
@@ -306,9 +367,9 @@ def _clear_denominators(f: Poly) -> Poly:
     if f.is_zero:
         return Poly.zero(ZZ)
     lcm = 1
-    for c in f.coeffs:
-        lcm = lcm * c.value.denominator // _int_gcd(lcm, c.value.denominator)
-    ints = [c.value.numerator * (lcm // c.value.denominator) for c in f.coeffs]
+    for v in f._values:
+        lcm = lcm * v.denominator // _int_gcd(lcm, v.denominator)
+    ints = [v.numerator * (lcm // v.denominator) for v in f._values]
     content = 0
     for v in ints:
         content = _int_gcd(content, v)
@@ -369,9 +430,8 @@ def squarefree_decomposition(f: Poly) -> SquarefreeDecomposition:
         rational = squarefree_decomposition(f.map_ring(QQ))
         layers = []
         for layer, m in rational.layers:
-            for c in layer.coeffs:
-                if c.value.denominator != 1:
-                    raise TheoryViolation("monic integer polynomial has non-integer layer")
+            if any(v.denominator != 1 for v in layer._values):
+                raise TheoryViolation("monic integer polynomial has non-integer layer")
             layers.append((layer.map_ring(ring), m))
         return SquarefreeDecomposition(ring, layers)
     g = f.monic()
@@ -404,13 +464,9 @@ def _yun(f: Poly):
 def _pth_root(f: Poly) -> Poly:
     # inverse of Frobenius on GF(p)[t]: valid when f' == 0, i.e. f = g(t^p)
     p = f.ring.char
-    root_coeffs = []
-    for j, c in enumerate(f.coeffs):
-        if j % p == 0:
-            root_coeffs.append(c)  # c**(1/p) == c in GF(p)
-        elif not c.is_zero:
-            raise TheoryViolation("p-th root requested of a non-p-th-power")
-    return Poly(f.ring, root_coeffs)
+    if any(v for j, v in enumerate(f._values) if j % p):
+        raise TheoryViolation("p-th root requested of a non-p-th-power")
+    return Poly._of(f.ring, list(f._values[::p]))  # c**(1/p) == c in GF(p)
 
 
 def _squarefree_char_p(f: Poly):

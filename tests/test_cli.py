@@ -95,6 +95,16 @@ def test_oracle_compare_agrees():
     assert record["result"]["oracle"]["truncation_checked"] is True
 
 
+def test_oracle_compare_bounds_above_defaults():
+    record, code = run_json("oracle-compare", "--ring", "F103", "--max-p", "200", "t^3+t+1")
+    assert code == 0
+    assert record["result"]["agree"] is True
+    assert record["result"]["oracle"]["truncation_checked"] is True
+    record, code = run_json("oracle-compare", "--ring", "F5", "--max-deg", "40", "t^33+t+1")
+    assert code == 0
+    assert record["result"]["agree"] is True
+
+
 def test_exit_code_2_on_syntax_error():
     record, code = run_json("aut", "--ring", "Q", "t +")
     assert code == 2
@@ -152,6 +162,36 @@ def test_batch_mode_order_and_codes():
         {"poly": "t + 3", "multiplicity": 3}
     ]
     assert proc.returncode == 2  # first failing line wins
+
+
+def test_batch_malformed_line_costs_one_record():
+    valid = json.dumps({"command": "aut", "ring": "Q", "inputs": ["t^2-1"]})
+    bad_shapes = [
+        "[1, 2]",
+        json.dumps({"command": "oracle-compare", "ring": "F7", "inputs": ["t^3 - t"],
+                    "options": {"max_p": "big"}}),
+        json.dumps({"command": "aut", "ring": 7, "inputs": ["t"]}),
+        json.dumps({"command": "aut", "ring": "Q", "inputs": "t^2-1"}),
+        json.dumps({"command": "aut", "ring": "Q", "inputs": ["t^2-1"], "options": [1]}),
+        json.dumps({"command": "iso", "ring": "Q", "inputs": ["t", "t"],
+                    "options": {"all_witnesses": 1}}),
+        "[" * 5000,
+    ]
+    lines = [valid]
+    for shape in bad_shapes:
+        lines += [shape, valid]
+    proc = run_cli("batch", "-", stdin="\n".join(lines) + "\n")
+    assert "Traceback" not in proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(records) == len(lines)
+    for i, record in enumerate(records):
+        if i % 2:
+            assert record["status"] == "error"
+            assert record["error"]["code"] == "syntax_error"
+        else:
+            assert record["status"] == "ok"
+            assert record["result"]["group"]["order"] == 2
+    assert proc.returncode == 2
 
 
 def test_json_echo_reparses_to_identical_record():

@@ -8,11 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_from_roots, random_monic
-from idealaut import GF, QQ, ZZ, Poly, center, gcd, parse_poly, squarefree_decomposition
+from idealaut import (
+    GF,
+    QQ,
+    ZZ,
+    Poly,
+    RingElement,
+    center,
+    gcd,
+    parse_poly,
+    squarefree_decomposition,
+)
 from idealaut.errors import (
     BothZero,
     ConstantPolynomial,
     DivisionByZero,
+    InexactDivision,
     MixedRings,
     NotAUnit,
     NotMonic,
@@ -100,6 +111,153 @@ def test_substitution_composition_law(ring):
         once = f.affine_substitute(a1 * a2, b1 + a1 * b2)
         assert twice == once
         assert twice.degree() == f.degree()
+
+
+# --- kernel against naive list-of-values references ---------------------
+
+KERNEL_RINGS = {
+    "Z": (ZZ, lambda rng: rng.randint(-50, 50)),
+    "Q": (QQ, lambda rng: Fraction(rng.randint(-20, 20), rng.randint(1, 9))),
+    "F2": (GF(2), lambda rng: rng.randrange(2)),
+    "F2147483647": (GF(2**31 - 1), lambda rng: rng.randrange(2**31 - 1)),
+}
+KERNEL_DEGREES = list(range(17)) + [24, 31, 32, 33, 48, 63, 64]
+
+
+def _ref_reduce(ring, values):
+    return [v % ring.p for v in values] if ring.kind == "F" else list(values)
+
+
+def _ref_norm(ring, values):
+    """Reduce over GF(p) and drop leading zeros, as plain values."""
+    out = _ref_reduce(ring, values)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _ref_mul(ring, a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_norm(ring, out)
+
+
+def _ref_compose(ring, c, alpha, beta):
+    # Horner over lists: acc -> acc * (alpha*t + beta) + c_j
+    acc = []
+    for cj in reversed(c):
+        nxt = [0] * (len(acc) + 1)
+        for i, v in enumerate(acc):
+            nxt[i] += v * beta
+            nxt[i + 1] += v * alpha
+        nxt[0] += cj
+        acc = _ref_reduce(ring, nxt)
+    return _ref_norm(ring, acc)
+
+
+def _ref_divide(ring, x, y):
+    if ring.kind == "F":
+        return x * pow(y, -1, ring.p) % ring.p
+    if ring.kind == "Q":
+        return Fraction(x) / y
+    q, r = divmod(x, y)
+    assert r == 0
+    return q
+
+
+def _ref_divmod(ring, a, b):
+    rem = list(a)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        q = _ref_divide(ring, rem[k + len(b) - 1], b[-1])
+        quot[k] = q
+        for j, v in enumerate(b):
+            rem[k + j] -= q * v
+        rem = _ref_reduce(ring, rem)
+    return _ref_norm(ring, quot), _ref_norm(ring, rem[: len(b) - 1])
+
+
+def _ref_unit(ring, rng):
+    if ring.kind == "Z":
+        return rng.choice((1, -1))
+    if ring.kind == "Q":
+        return Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
+    return rng.randrange(1, ring.p)
+
+
+def _values(f):
+    """Raw coefficient values, read through the RingElement accessors."""
+    out = []
+    for c in f.coeffs:
+        assert isinstance(c, RingElement) and c.ring == f.ring
+        assert isinstance(c.value, Fraction if f.ring.kind == "Q" else int)
+        out.append(c.value)
+    return out
+
+
+@pytest.mark.parametrize("name", KERNEL_RINGS)
+def test_kernel_mul_matches_convolution(name):
+    ring, draw = KERNEL_RINGS[name]
+    rng = random.Random(101)
+    for _ in range(40):
+        a = [draw(rng) for _ in range(rng.randint(0, 24))]
+        b = [draw(rng) for _ in range(rng.randint(0, 24))]
+        expected = _ref_mul(ring, _ref_norm(ring, a), _ref_norm(ring, b))
+        assert _values(Poly(ring, a) * Poly(ring, b)) == expected
+        s = draw(rng)
+        assert _values(Poly(ring, a) * ring.elem(s)) == _ref_mul(ring, _ref_norm(ring, a), [s])
+
+
+@pytest.mark.parametrize("name", KERNEL_RINGS)
+def test_kernel_divmod_matches_long_division(name):
+    ring, draw = KERNEL_RINGS[name]
+    rng = random.Random(102)
+    for _ in range(40):
+        b = [draw(rng) for _ in range(rng.randint(0, 12))] + [_ref_unit(ring, rng)]
+        a = [draw(rng) for _ in range(rng.randint(0, 30))]
+        q, r = divmod(Poly(ring, a), Poly(ring, b))
+        eq, er = _ref_divmod(ring, _ref_norm(ring, a), _ref_norm(ring, b))
+        assert (_values(q), _values(r)) == (eq, er)
+
+
+@pytest.mark.parametrize("name", KERNEL_RINGS)
+def test_kernel_affine_substitute_matches_horner_composition(name):
+    ring, draw = KERNEL_RINGS[name]
+    rng = random.Random(103)
+    for n in KERNEL_DEGREES:
+        f = [draw(rng) for _ in range(n)] + [_ref_unit(ring, rng)]
+        maps = [(-1, draw(rng)), (1, draw(rng)), (_ref_unit(ring, rng), 0),
+                (_ref_unit(ring, rng), draw(rng)), (1, 0)]
+        for alpha, beta in maps:
+            c, a, b = _ref_norm(ring, f), _ref_norm(ring, [alpha]), _ref_norm(ring, [beta])
+            expected = _ref_compose(ring, c, a[0], b[0] if b else 0)
+            got = Poly(ring, f).affine_substitute(alpha, beta)
+            assert _values(got) == expected
+            assert got.degree() == n
+
+
+def test_kernel_z_divmod_raises_inexact_division():
+    with pytest.raises(InexactDivision):
+        divmod(Poly(ZZ, (1, 0, 1)), Poly(ZZ, (1, 2)))
+    # the first quotient step is exact, the second is not
+    with pytest.raises(InexactDivision):
+        divmod(Poly(ZZ, (5, 1, 0, 2)), Poly(ZZ, (1, 2)))
+    q, r = divmod(Poly(ZZ, (0, 2, 2)), Poly(ZZ, (0, 2)))
+    assert q == Poly(ZZ, (1, 1)) and r.is_zero
+
+
+@pytest.mark.parametrize("name", KERNEL_RINGS)
+def test_kernel_accessors_return_ring_elements(name):
+    ring, draw = KERNEL_RINGS[name]
+    rng = random.Random(104)
+    f = Poly(ring, [draw(rng) for _ in range(6)] + [1]) * Poly.t(ring)
+    for c in (f.leading(), f.coeff(0), f.coeff(3), f.coeff(99), f.evaluate(2)):
+        assert isinstance(c, RingElement) and c.ring == ring
+        assert isinstance(c.value, Fraction if ring.kind == "Q" else int)
+    assert _values(f)[0] == 0
+    assert f.coeffs == tuple(f.coeff(j) for j in range(f.degree() + 1))
 
 
 # --- gcd ---------------------------------------------------------------
