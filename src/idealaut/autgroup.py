@@ -9,20 +9,24 @@ The group computation never searches blindly:
 
   * f = (t - a)**n with a in R: the group is all units acting around the
     fixed point a (returned symbolically as :class:`UnitsGroup`).
-  * characteristic 0, or GF(p) with p not dividing n = deg(f): translate t
-    so the coefficient of t**(n-1) vanishes (possible whenever the root
-    centroid lies in R).  For such a centered polynomial any automorphism
-    has beta = 0 and the condition becomes alpha**(n-j) = 1 for every
-    nonzero coefficient c_j, so the alpha-set is exactly the unit torsion
-    of the gap exponent gcd{n - j : c_j != 0}.
-  * over Z when the centroid is not integral, units are just {1, -1}; beta
-    is pinned by n*beta = (alpha - 1)*c_{n-1} and checked in full.
-  * GF(p) with p | n: exhaustive scan of all (alpha, beta), which doubles
-    as the reference path for the non-cyclic examples.
+  * otherwise the group is the candidates of :func:`_iso_candidates` (f, f)
+    that pass the identity, and isomorphism tests walk the same generator:
+      - over Q, or GF(p) with p not dividing n = deg(f): translate t so the
+        coefficient of t**(n-1) vanishes.  For a centered polynomial any
+        automorphism has beta = 0 and the condition becomes
+        alpha**(n-j) = 1 for every nonzero coefficient c_j, so the
+        candidates are exactly the unit torsion of the gap exponent
+        gcd{n - j : c_j != 0}, and every one must pass;
+      - over Z the units {1, -1}, with beta pinned by the t**(n-1)
+        coefficient: n*beta = (alpha - 1)*c_{n-1};
+      - over GF(p) with p | n (so p <= n) the maps whose identity holds at
+        every point of GF(p), read off value tables of f.
 
-Every finite result is re-verified element-wise before it is returned.
+Every element of a finite result passes the defining identity, and its
+order is known in closed form (see :meth:`AffineMap.order`).
 """
 
+from dataclasses import dataclass
 from functools import reduce
 from math import gcd as _int_gcd
 
@@ -34,7 +38,7 @@ from .errors import (
     WrongRing,
 )
 from .poly import Poly, _require_monic_nonconstant, center, squarefree_decomposition
-from .ring import Ring, RingElement, nth_roots, unit_torsion
+from .ring import Ring, RingElement, multiplicative_order, nth_roots
 
 
 class AffineMap:
@@ -74,6 +78,12 @@ class AffineMap:
     def inverse(self) -> "AffineMap":
         inv = self.alpha.inverse()
         return AffineMap(inv, -(inv * self.beta))
+
+    def order(self):
+        """ord(alpha) when alpha != 1; p for a translation of GF(p); None if infinite."""
+        if self.alpha.is_one:
+            return 1 if self.beta.is_zero else self.ring.char or None
+        return multiplicative_order(self.alpha)
 
     def apply(self, x) -> RingElement:
         return self.alpha * x + self.beta
@@ -125,26 +135,25 @@ def single_root_form(f: Poly):
     return -layer.coeff(0)
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class FiniteAutGroup:
     """Explicit finite automorphism group with cyclicity analysis."""
 
-    __slots__ = ("elements", "order", "cyclic", "generator", "element_orders")
-
-    def __init__(self, elements, order, cyclic, generator, element_orders):
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "cyclic", cyclic)
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "element_orders", element_orders)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("FiniteAutGroup is immutable")
+    elements: tuple
+    order: int
+    cyclic: bool
+    generator: AffineMap | None
+    element_orders: tuple
 
     kind = "finite"
 
     @classmethod
     def from_elements(cls, elements) -> "FiniteAutGroup":
-        """Canonicalize an element list and analyze orders by composition."""
+        """Canonicalize an element list; element orders in closed form.
+
+        Closure is still checked by composition: along the powers of an
+        element of order |G| when there is one, else along every element's.
+        """
         unique = sorted(set(elements), key=AffineMap.sort_key)
         if not unique:
             raise TheoryViolation("automorphism group came out empty")
@@ -152,26 +161,14 @@ class FiniteAutGroup:
         if not any(m.is_identity for m in unique):
             raise TheoryViolation("automorphism group misses the identity")
         size = len(unique)
-        orders = []
-        for m in unique:
-            power, k = m, 1
-            while not power.is_identity:
-                power = power.compose(m)
-                k += 1
-                if k > size or power not in member:
-                    raise TheoryViolation("element powers escape the group")
-            orders.append((m, k))
-        max_order = max(k for _, k in orders)
-        cyclic = max_order == size
-        generator = None
-        if cyclic:
-            generator = min(
-                (m for m, k in orders if k == max_order), key=AffineMap.sort_key
-            )
-        return cls(tuple(unique), size, cyclic, generator, tuple(orders))
-
-    def contains(self, m: AffineMap) -> bool:
-        return m in set(self.elements)
+        orders = [(m, m.order()) for m in unique]
+        if any(k is None or k > size for _, k in orders):
+            raise TheoryViolation("element powers escape the group")
+        generator = next((m for m, k in orders if k == size), None)
+        walks = orders if generator is None else [(generator, size)]
+        for m, k in walks:
+            _check_powers(m, k, member)
+        return cls(tuple(unique), size, generator is not None, generator, tuple(orders))
 
     def element_set(self) -> frozenset:
         return frozenset(self.elements)
@@ -186,6 +183,17 @@ class FiniteAutGroup:
         return f"FiniteAutGroup[order {self.order}{', cyclic' if self.cyclic else ''}: {body}]"
 
 
+def _check_powers(m: AffineMap, k: int, member: set):
+    # m, m**2, ..., m**k are k distinct group elements and m**k is the identity
+    power, seen = m, {m}
+    for _ in range(k - 1):
+        power = power.compose(m)
+        seen.add(power)
+    if not power.is_identity or len(seen) != k or not seen <= member:
+        raise TheoryViolation("element powers escape the group")
+
+
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class UnitsGroup:
     """All units of R acting around one fixed point a: {(u, (1-u)a)}.
 
@@ -193,13 +201,7 @@ class UnitsGroup:
     infinite unit group costs nothing.
     """
 
-    __slots__ = ("fixed_point",)
-
-    def __init__(self, fixed_point: RingElement):
-        object.__setattr__(self, "fixed_point", fixed_point)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("UnitsGroup is immutable")
+    fixed_point: RingElement
 
     kind = "units_of_R"
 
@@ -256,74 +258,29 @@ def groups_equal(a, b) -> bool:
     return a.element_set() == b.element_set()
 
 
-def _gap_exponent(centered: Poly) -> int:
-    n = centered.degree()
-    gaps = [n - j for j in range(n) if not centered.coeff(j).is_zero]
-    if not gaps:
-        raise TheoryViolation("gap exponent of t**n requested")
-    return reduce(_int_gcd, gaps)
-
-
 def compute_aut(f: Poly):
-    """The full automorphism group of the ideal generated by monic f."""
+    """The full automorphism group of the ideal generated by monic f.
+
+    Outside the single-root case this is the candidates of
+    ``_iso_candidates(f, f)`` that pass the defining identity.  Over a field
+    where deg f is invertible they are the unit torsion of the centered gap
+    exponent, all of which must pass.
+    """
     _require_monic_nonconstant(f)
     fm = f.monic()
-    ring = fm.ring
     a = single_root_form(fm)
     if a is not None:
         return UnitsGroup(a)
-    n = fm.degree()
-    p = ring.char
-    if p and n % p == 0:
-        elements = _exhaustive_scan(fm)
-    else:
-        z0 = center(fm)
-        if z0 is not None:
-            centered = fm.shifted(z0)  # roots sum to zero now
-            gap = _gap_exponent(centered)
-            one = ring.one()
-            elements = [
-                AffineMap(alpha, (one - alpha) * z0)
-                for alpha in unit_torsion(ring, gap)
-            ]
-        else:
-            elements = _integer_units_scan(fm)
-    group = FiniteAutGroup.from_elements(elements)
-    for m in group.elements:
-        if not _is_automorphism(fm, m):
-            raise TheoryViolation(f"candidate {m} fails the defining identity")
-    return group
-
-
-def _exhaustive_scan(fm: Poly):
-    # GF(p) with p | deg(f): try all p*(p-1) affine maps
-    ring = fm.ring
-    out = []
-    for a in range(1, ring.p):
-        alpha = ring.elem(a)
-        for b in range(ring.p):
-            m = AffineMap(alpha, ring.elem(b))
-            if _is_automorphism(fm, m):
-                out.append(m)
-    return out
-
-
-def _integer_units_scan(fm: Poly):
-    # Z without an integral centroid: beta is pinned by the t**(n-1) coefficient
-    ring = fm.ring
-    n = fm.degree()
-    n_elem = ring.elem(n)
-    c_top = fm.coeff(n - 1)
-    out = []
-    for alpha in ring.units():
-        try:
-            beta = ((alpha - ring.one()) * c_top).div_exact(n_elem)
-        except InexactDivision:
-            continue
+    ring, n = fm.ring, fm.degree()
+    centered_torsion = ring.kind != "Z" and not (ring.char and n % ring.char == 0)
+    elements = []
+    for alpha, beta in _iso_candidates(fm, fm):
         m = AffineMap(alpha, beta)
         if _is_automorphism(fm, m):
-            out.append(m)
-    return out
+            elements.append(m)
+        elif centered_torsion:
+            raise TheoryViolation(f"candidate {m} fails the defining identity")
+    return FiniteAutGroup.from_elements(elements)
 
 
 def shift_conjugate(grp, z0):
@@ -378,41 +335,23 @@ def power_reduce(f: Poly):
     return h, k
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class IsoWitness:
     """An affine map plus the unit lam with f(alpha*t + beta) = lam * g."""
 
-    __slots__ = ("map", "lam")
-
-    def __init__(self, map: AffineMap, lam: RingElement):
-        object.__setattr__(self, "map", map)
-        object.__setattr__(self, "lam", lam)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("IsoWitness is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, IsoWitness):
-            return NotImplemented
-        return self.map == other.map and self.lam == other.lam
-
-    def __hash__(self):
-        return hash((self.map, self.lam))
+    map: AffineMap
+    lam: RingElement
 
     def __repr__(self):
         return f"IsoWitness(map={self.map}, lam={self.lam})"
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class IsoWitnessFamily:
     """All witnesses between two single-root ideals: {(u, a - u*b) : u a unit}."""
 
-    __slots__ = ("source_fixed_point", "target_fixed_point")
-
-    def __init__(self, source_fixed_point, target_fixed_point):
-        object.__setattr__(self, "source_fixed_point", source_fixed_point)
-        object.__setattr__(self, "target_fixed_point", target_fixed_point)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("IsoWitnessFamily is immutable")
+    source_fixed_point: RingElement
+    target_fixed_point: RingElement
 
     @property
     def ring(self) -> Ring:
@@ -430,18 +369,6 @@ class IsoWitnessFamily:
         )
 
 
-def _ext_gcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
-
-
 def _layer_shape(fm: Poly):
     dec = squarefree_decomposition(fm)
     return sorted((m, layer.degree()) for layer, m in dec.layers)
@@ -453,10 +380,17 @@ def _iso_candidates(fm: Poly, gm: Poly):
     n = fm.degree()
     p = ring.char
     if p and n % p == 0:
+        # p <= n, so agreement at the p points of GF(p) is only necessary;
+        # callers check each surviving map against the full identity
+        points = range(p)
+        f_at = [fm.evaluate(RingElement(ring, x)).value for x in points]
+        g_at = [gm.evaluate(RingElement(ring, x)).value for x in points]
         for a in range(1, p):
-            alpha = ring.elem(a)
+            a_n = pow(a, n, p)
+            scaled_g = [a_n * v % p for v in g_at]
             for b in range(p):
-                yield alpha, ring.elem(b)
+                if all(f_at[(a * x + b) % p] == scaled_g[x] for x in points):
+                    yield RingElement(ring, a), RingElement(ring, b)
         return
     if ring.kind == "Z":
         n_elem = ring.elem(n)
@@ -473,25 +407,19 @@ def _iso_candidates(fm: Poly, gm: Poly):
     if z_f is None or z_g is None:
         raise TheoryViolation("centroid missing over a field with invertible degree")
     centered_f = fm.shifted(z_f)
-    centered_g = gm.shifted(z_g)
+    centered_g = centered_f if gm is fm else gm.shifted(z_g)
     support = [j for j in range(n) if not centered_g.coeff(j).is_zero]
     if [j for j in range(n) if not centered_f.coeff(j).is_zero] != support:
         return
     if not support:
         raise TheoryViolation("single-root forms must be handled before the centered search")
-    # combine the conditions alpha**(n-j) = cF_j / cG_j into one d-th root problem
-    exponent, value = None, None
-    for j in support:
-        e = n - j
-        q = centered_f.coeff(j).div_exact(centered_g.coeff(j))
-        if exponent is None:
-            exponent, value = e, q
-        else:
-            g2, s, t = _ext_gcd(exponent, e)
-            value = value**s * q**t
-            exponent = g2
-    for alpha in nth_roots(value, exponent):
-        yield alpha, z_f - alpha * z_g
+    # alpha**(n-j) = cF_j / cG_j for every j in the support: solve the
+    # condition with the smallest exponent, then check the others
+    ratios = {n - j: centered_f.coeff(j).div_exact(centered_g.coeff(j)) for j in support}
+    smallest = min(ratios)
+    for alpha in nth_roots(ratios[smallest], smallest):
+        if all(alpha**e == r for e, r in ratios.items()):
+            yield alpha, z_f - alpha * z_g
 
 
 def _iso_prepare(f: Poly, g: Poly):
@@ -520,20 +448,16 @@ def iso_test(f: Poly, g: Poly):
         return None
     n = fm.degree()
     if a_f is not None:
-        one = fm.ring.one()
-        witness = AffineMap(one, a_f - a_g)
+        candidates = [(fm.ring.one(), a_f - a_g)]
     else:
-        witness = None
-        for alpha, beta in _iso_candidates(fm, gm):
-            if fm.affine_substitute(alpha, beta) == (alpha**n) * gm:
-                witness = AffineMap(alpha, beta)
-                break
-        if witness is None:
-            return None
-    lam = witness.alpha**n
-    if fm.affine_substitute(witness.alpha, witness.beta) != lam * gm:
+        candidates = _iso_candidates(fm, gm)
+    for alpha, beta in candidates:
+        lam = alpha**n
+        if fm.affine_substitute(alpha, beta) == lam * gm:
+            return IsoWitness(AffineMap(alpha, beta), lam)
+    if a_f is not None:
         raise TheoryViolation("isomorphism witness fails its defining identity")
-    return IsoWitness(witness, lam)
+    return None
 
 
 def all_iso_witnesses(f: Poly, g: Poly):

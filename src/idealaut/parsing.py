@@ -11,9 +11,11 @@ Polynomial grammar (whitespace-insensitive, explicit '*' only):
 are numbers and scalar division otherwise; under Z or GF(p) any
 denominator other than 1 raises CoefficientNotInRing.  Implicit
 multiplication ("2t") is rejected with a position so diagnostics stay
-precise.  Degrees, parenthesis nesting and constant-power magnitudes are
+precise.  Exponents, parenthesis nesting and constant-power magnitudes are
 capped so malformed input fails with a positioned error instead of
-exhausting memory or the interpreter stack.
+exhausting memory or the interpreter stack; a product or power whose
+degree would exceed MAX_EXPONENT raises BoundsExceeded before it is
+computed.
 
 The canonical output form (descending powers, "t^k" syntax) is produced
 by ``str(poly)``; parsing a canonical form is the identity.
@@ -21,7 +23,7 @@ by ``str(poly)``; parsing a canonical form is the identity.
 
 from fractions import Fraction
 
-from .errors import CoefficientNotInRing, ParseError, WrongRing
+from .errors import BoundsExceeded, CoefficientNotInRing, ParseError, WrongRing
 from .poly import Poly
 from .ring import GF, QQ, ZZ, Ring, RingElement
 
@@ -81,6 +83,14 @@ class _Tokens:
         return tok
 
 
+def _check_degree(degree: int, pos: int):
+    # operands never exceed the limit, so a zero operand (degree None -> 0) passes
+    if degree > MAX_EXPONENT:
+        raise BoundsExceeded(
+            f"degree {degree} exceeds the limit {MAX_EXPONENT} (at position {pos})"
+        )
+
+
 class _PolyParser:
     def __init__(self, text: str, ring: Ring):
         self.tokens = _Tokens(text)
@@ -120,7 +130,9 @@ class _PolyParser:
             kind, _, pos = self.tokens.peek()
             if kind == "*":
                 self.tokens.next()
-                value = value * self.factor()
+                rhs = self.factor()
+                _check_degree((value.degree() or 0) + (rhs.degree() or 0), pos)
+                value = value * rhs
             elif kind == "/":
                 self.tokens.next()
                 kind2, den, pos2 = self.tokens.next()
@@ -143,6 +155,7 @@ class _PolyParser:
                 raise ParseError(f"exponent {exp} exceeds the limit {MAX_EXPONENT}", pos)
             if base.degree() in (None, 0) and exp and self._constant_bits(base) * exp > MAX_CONSTANT_BITS:
                 raise ParseError("constant power exceeds the magnitude limit", pos)
+            _check_degree((base.degree() or 0) * exp, pos)
             base = base**exp
         return base
 

@@ -396,12 +396,6 @@ class SquarefreeDecomposition:
             out = out * layer**m
         return out
 
-    def squarefree_part(self) -> Poly:
-        out = Poly.one(self.ring)
-        for layer, _ in self.layers:
-            out = out * layer
-        return out
-
     def multiplicities(self) -> list[int]:
         return [m for _, m in self.layers]
 

@@ -78,10 +78,6 @@ class Ring:
     def char(self) -> int:
         return self.p if self.kind == "F" else 0
 
-    @property
-    def is_field(self) -> bool:
-        return self.kind != "Z"
-
     def zero(self):
         return self.elem(0)
 
@@ -287,17 +283,21 @@ class RingElement:
         return f"{self.value}_{self.ring}"
 
 
-def _prime_factors(n: int) -> list[int]:
-    out, d = [], 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
+@functools.lru_cache(maxsize=None)
+def _unit_group_factors(p: int) -> tuple[tuple[int, int], ...]:
+    """(q, a) for every prime power q**a exactly dividing p - 1, q ascending."""
+    out, n, q = [], p - 1, 2
+    while q * q <= n:
+        if n % q == 0:
+            a = 0
+            while n % q == 0:
+                n //= q
+                a += 1
+            out.append((q, a))
+        q += 1 if q == 2 else 2
     if n > 1:
-        out.append(n)
-    return out
+        out.append((n, 1))
+    return tuple(out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -305,29 +305,89 @@ def primitive_root(p: int) -> int:
     """Smallest generator of GF(p)^x, found by trial against the factors of p-1."""
     if p == 2:
         return 1
-    qs = _prime_factors(p - 1)
+    qs = [q for q, _ in _unit_group_factors(p)]
     for candidate in range(2, p):
         if all(pow(candidate, (p - 1) // q, p) != 1 for q in qs):
             return candidate
     raise TheoryViolation(f"no primitive root found modulo {p}")
 
 
-def _discrete_log(p: int, base: int, target: int) -> int:
-    # baby-step giant-step; base must generate GF(p)^x
-    order = p - 1
-    m = isqrt(order) + 1
-    table = {}
-    e = 1
+def multiplicative_order(x: RingElement):
+    """Order of the unit x, or None if infinite; over GF(p) from the factors of p - 1."""
+    if not x.is_unit:
+        raise NotAUnit(f"{x} is not a unit of {x.ring}")
+    if x.ring.kind != "F":
+        return {1: 1, -1: 2}.get(x.value)  # no other unit of Z or Q has finite order
+    p, order = x.ring.p, x.ring.p - 1
+    for q, a in _unit_group_factors(p):
+        for _ in range(a):
+            if pow(x.value, order // q, p) != 1:
+                break
+            order //= q
+    return order
+
+
+def _prime_power_log(base: int, target: int, q: int, a: int, p: int) -> int:
+    # Pohlig-Hellman: log of target to base, where base has order q**a; each
+    # base-q digit is a baby-step giant-step log in the subgroup of order q
+    gamma = pow(base, q ** (a - 1), p)
+    m = isqrt(q - 1) + 1
+    baby, e = {}, 1
     for j in range(m):
-        table.setdefault(e, j)
-        e = e * base % p
-    giant = pow(base, -m, p)
-    cur = target % p
-    for i in range(m + 1):
-        if cur in table:
-            return (i * m + table[cur]) % order
-        cur = cur * giant % p
-    raise TheoryViolation(f"{target} is not a power of {base} mod {p}")
+        baby.setdefault(e, j)
+        e = e * gamma % p
+    giant = pow(gamma, -m, p)
+    k = 0
+    for i in range(a):
+        h = pow(pow(base, -k, p) * target % p, q ** (a - 1 - i), p)
+        for step in range(m):
+            if h in baby:
+                break
+            h = h * giant % p
+        else:
+            raise TheoryViolation(f"{target} is not a power of {base} mod {p}")
+        k += (step * m + baby[h]) * q**i
+    return k
+
+
+def _one_fp_root(x: int, d: int, p: int) -> int:
+    """Some y with y**d == x in GF(p)^x; x must be a d-th power.
+
+    x is the product of its components of prime-power order q**a.  Where q
+    does not divide d, raising to d permutes a component, so its root is a
+    power of it; elsewhere the component's discrete log to base g**((p-1)/q**a)
+    (Pohlig-Hellman, q | d keeps q small) is divided by d.
+    """
+    n = p - 1
+    g = primitive_root(p)
+    y = 1
+    for q, a in _unit_group_factors(p):
+        qa = q**a
+        cofactor = n // qa
+        part = pow(x, cofactor * pow(cofactor, -1, qa) % n, p)
+        qv = gcd(d, qa)
+        if qv == 1:
+            y = y * pow(part, pow(d, -1, qa), p) % p
+            continue
+        base = pow(g, cofactor, p)
+        k = _prime_power_log(base, part, q, a, p)
+        rest = qa // qv
+        y = y * pow(base, k // qv * pow(d // qv, -1, rest) % rest, p) % p
+    if pow(y, d, p) != x:
+        raise TheoryViolation(f"computed {d}-th root of {x} mod {p} is wrong")
+    return y
+
+
+def _roots_of_unity(p: int, e: int) -> list[int]:
+    # the e residues with u**e == 1, ascending; e divides p - 1
+    step = pow(primitive_root(p), (p - 1) // e, p)
+    values, cur = set(), 1
+    for _ in range(e):
+        values.add(cur)
+        cur = cur * step % p
+    if len(values) != e:
+        raise TheoryViolation("torsion subgroup has wrong order")
+    return sorted(values)
 
 
 def unit_torsion(ring: Ring, g: int) -> list[RingElement]:
@@ -343,16 +403,7 @@ def unit_torsion(ring: Ring, g: int) -> list[RingElement]:
         if g % 2 == 0:
             roots.append(ring.elem(-1))
         return roots
-    p = ring.p
-    count = gcd(g, p - 1)
-    step = pow(primitive_root(p), (p - 1) // count, p)
-    values, cur = set(), 1
-    for _ in range(count):
-        values.add(cur)
-        cur = cur * step % p
-    if len(values) != count:
-        raise TheoryViolation("torsion subgroup has wrong order")
-    return [ring.elem(v) for v in sorted(values)]
+    return [RingElement(ring, v) for v in _roots_of_unity(ring.p, gcd(g, ring.p - 1))]
 
 
 def _int_nth_root(n: int, d: int) -> int:
@@ -384,7 +435,12 @@ def _exact_int_roots(v: int, d: int) -> list[int]:
 
 
 def nth_roots(x: RingElement, d: int) -> list[RingElement]:
-    """All solutions of y**d == x in x's ring, canonically ordered."""
+    """All solutions of y**d == x in x's ring, canonically ordered.
+
+    Over GF(p), with e = gcd(d, p - 1), x is a d-th power exactly when
+    x**((p-1)/e) == 1; one root (:func:`_one_fp_root`) times the e-th roots
+    of unity then gives all e of them, with no search over the field.
+    """
     if d < 1:
         raise ValueError("root index must be >= 1")
     ring = x.ring
@@ -398,18 +454,11 @@ def nth_roots(x: RingElement, d: int) -> list[RingElement]:
         roots = [Fraction(a, b) for a in nums for b in dens]
     else:
         p = ring.p
-        order = p - 1
-        d_eff = d % order
-        if d_eff == 0:
-            return ring.units() if x.is_one else []
-        base = primitive_root(p)
-        k = _discrete_log(p, base, x.value)
-        e = gcd(d_eff, order)
-        if k % e:
+        e = gcd(d, p - 1)
+        if pow(x.value, (p - 1) // e, p) != 1:
             return []
-        o2 = order // e
-        y0 = k // e * pow(d_eff // e, -1, o2) % o2
-        roots = sorted({pow(base, (y0 + i * o2) % order, p) for i in range(e)})
+        y = _one_fp_root(x.value, d, p)
+        return [RingElement(ring, v) for v in sorted(y * u % p for u in _roots_of_unity(p, e))]
     out = [ring.elem(v) for v in roots]
     out.sort(key=RingElement.sort_key)
     return out

@@ -9,6 +9,7 @@ import pytest
 from helpers import random_from_roots, random_monic, random_split_with_center
 from idealaut import (
     GF,
+    IsoWitness,
     QQ,
     ZZ,
     AffineMap,
@@ -16,9 +17,11 @@ from idealaut import (
     IsoWitnessFamily,
     Poly,
     UnitsGroup,
+    agrees_with,
     all_iso_witnesses,
     center,
     compute_aut,
+    enumerate_auts,
     groups_equal,
     iso_test,
     layer_intersection,
@@ -36,6 +39,7 @@ from idealaut.errors import (
     MixedRings,
     NotAUnit,
     NotMonic,
+    TheoryViolation,
 )
 
 
@@ -466,3 +470,128 @@ def test_all_witnesses_expand_over_finite_unit_rings():
     assert isinstance(everything, list) and len(everything) == 2
     for w in everything:
         assert f.affine_substitute(w.map.alpha, w.map.beta) == w.lam * g
+
+
+# --- p | deg f: value-table candidates, closed-form orders ----------------
+
+def composition_order(m):
+    power, k = m, 1
+    while not power.is_identity:
+        power = power.compose(m)
+        k += 1
+    return k
+
+
+def char_p_samples(p, rng):
+    """Monic f over GF(p) with p | deg f and at least two distinct roots.
+
+    Mixes random polynomials (with and without a GF(p)-root, with
+    c_{n-1} != 0) and compositions h(t^p - t), h((t^p - t)^(p-1)) whose
+    groups contain every translation or every affine map.
+    """
+    ring = GF(p)
+    t = Poly.t(ring)
+    artin_schreier = t**p - t
+    out = []
+    while len(out) < 8:
+        n = p * rng.randint(1, 12 // p + 1)
+        f = random_monic(ring, n, rng)
+        if single_root_form(f) is None:
+            out.append(f)
+    rootless = [f for f in out if all(f.evaluate(x) for x in range(p))]
+    while len(rootless) < 3:
+        f = random_monic(ring, p * rng.randint(1, 2), rng)
+        if all(f.evaluate(x) for x in range(p)):
+            rootless.append(f)
+            out.append(f)
+    for inner in (artin_schreier, artin_schreier ** (p - 1)):
+        for _ in range(2):
+            h = random_monic(ring, rng.randint(1, 2), rng)
+            f = Poly(ring, [0])
+            for c in reversed(h.coeffs):
+                f = f * inner + Poly(ring, [c])
+            if single_root_form(f) is None:
+                out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_char_p_groups_match_oracle_with_closed_form_orders(p):
+    rng = random.Random(1000 + p)
+    samples = char_p_samples(p, rng)
+    assert any(not f.coeff(f.degree() - 1).is_zero for f in samples)
+    assert any(all(f.evaluate(x) for x in range(p)) for f in samples)
+    assert any(compute_aut(f).order > 1 for f in samples)
+    for f in samples:
+        group = compute_aut(f)
+        report = enumerate_auts(f, max_deg=100)
+        assert agrees_with(report, group), f
+        assert group.element_set() == report.element_set(), f
+        assert sorted(k for _, k in group.element_orders) == sorted(
+            k for _, k in report.element_orders
+        )
+        for m, k in group.element_orders:
+            assert k == composition_order(m) == m.order()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_char_p_iso_matches_brute_force_scan(p):
+    ring = GF(p)
+    rng = random.Random(2000 + p)
+    samples = char_p_samples(p, rng)
+    pairs = []
+    for f in samples:
+        g = random_monic(ring, f.degree(), rng)  # usually not isomorphic
+        pairs.append((f, g))
+        alpha, beta = rng.randrange(1, p), rng.randrange(p)
+        planted = f.affine_substitute(ring.elem(alpha), ring.elem(beta))
+        pairs.append((f, planted * ring.elem(alpha).inverse() ** f.degree()))
+    assert any(iso_test(f, g) is None for f, g in pairs)
+    for f, g in pairs:
+        n = f.degree()
+        scan = [
+            amap(ring, a, b)
+            for a in range(1, p)
+            for b in range(p)
+            if f.affine_substitute(ring.elem(a), ring.elem(b)) == ring.elem(a) ** n * g
+        ]
+        w = iso_test(f, g)
+        if not scan:
+            assert w is None, (f, g)
+            continue
+        assert w is not None and w.map == scan[0], (f, g)
+        assert w.lam == w.map.alpha**n
+        if single_root_form(f) is None:
+            everything = all_iso_witnesses(f, g)
+            assert {x.map for x in everything} == set(scan)
+
+
+def test_closure_is_checked_for_fp_element_sets():
+    ring = GF(3)
+    with pytest.raises(TheoryViolation):  # (1, 1) has order 3 = |G| but (1, 2) is missing
+        FiniteAutGroup.from_elements([amap(ring, 1, 0), amap(ring, 2, 0), amap(ring, 1, 1)])
+    with pytest.raises(TheoryViolation):  # no element of order |G| = 4: walk every element
+        FiniteAutGroup.from_elements(
+            [amap(ring, 1, 0), amap(ring, 2, 0), amap(ring, 2, 1), amap(ring, 1, 1)]
+        )
+    with pytest.raises(TheoryViolation):  # translations have infinite order over Q
+        FiniteAutGroup.from_elements([amap(QQ, 1, 0), amap(QQ, 1, 1)])
+
+
+def test_value_objects_keep_equality_and_hashing():
+    group = compute_aut(parse_poly("t^3 - t", GF(3)))
+    again = FiniteAutGroup.from_elements(reversed(group.elements))
+    assert group == again and group.cyclic is False and group.generator is None
+    with pytest.raises(TypeError):
+        hash(group)
+    with pytest.raises(TypeError):
+        hash(UnitsGroup(QQ.elem(2)))
+    assert UnitsGroup(QQ.elem(2)) == UnitsGroup(QQ.elem(2))
+    w = iso_test(Q("t^2-1"), Q("t^2-2*t"))
+    assert w == IsoWitness(w.map, w.lam) and hash(w) == hash((w.map, w.lam))
+    family = all_iso_witnesses(Q("(t-3)^2"), Q("(t-1)^2"))
+    assert family != IsoWitnessFamily(family.source_fixed_point, family.target_fixed_point)
+    for value, field in ((group, "order"), (UnitsGroup(QQ.elem(2)), "fixed_point"),
+                         (w, "lam"), (family, "target_fixed_point")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)

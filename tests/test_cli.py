@@ -131,6 +131,22 @@ def test_exit_code_3_on_precondition():
     assert record["error"]["code"] == "wrong_ring"
 
 
+def test_total_degree_budget_exit_code_3():
+    record, code = run_json("aut", "--ring", "F7", "t^4096*t^4096*t^4096")
+    assert code == 3
+    assert record["error"]["code"] == "bounds_exceeded"
+
+
+def test_batch_degree_budget_costs_one_record():
+    valid = json.dumps({"command": "aut", "ring": "Q", "inputs": ["t^2-1"]})
+    huge = json.dumps({"command": "aut", "ring": "F7", "inputs": ["t^4096*t^4096*t^4096"]})
+    proc = run_cli("batch", "-", stdin="\n".join([valid, huge, valid]) + "\n")
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["status"] for r in records] == ["ok", "error", "ok"]
+    assert records[1]["error"]["code"] == "bounds_exceeded"
+    assert proc.returncode == 3
+
+
 def test_bad_ring_selector():
     record, code = run_json("aut", "--ring", "F9", "t^2-1")
     assert code == 2

@@ -3,7 +3,7 @@
 import pytest
 
 from idealaut import GF, QQ, ZZ, parse_affine_map, parse_element, parse_poly, parse_ring
-from idealaut.errors import CoefficientNotInRing, ParseError
+from idealaut.errors import BoundsExceeded, CoefficientNotInRing, ParseError
 
 
 def test_parse_ring_selectors():
@@ -77,6 +77,22 @@ def test_implicit_multiplication_hint():
 def test_exponent_limit():
     with pytest.raises(ParseError):
         parse_poly("t^99999", QQ)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["t^4096*t^4096*t^4096", "t^4096*t", "(t^2)^4096", "(t^64)^64*(t+1)", "(t^2048*t^2048)^2"],
+)
+def test_total_degree_budget(text):
+    with pytest.raises(BoundsExceeded) as info:
+        parse_poly(text, GF(7))
+    assert "exceeds the limit 4096" in str(info.value)
+
+
+def test_total_degree_budget_admits_degree_4096():
+    assert parse_poly("t^2048*t^2048", GF(7)).degree() == 4096
+    assert parse_poly("(t^2)^2048", GF(7)).degree() == 4096
+    assert parse_poly("0*t^4096*t^4096", GF(7)).is_zero
 
 
 def test_constant_power_magnitude_limit():

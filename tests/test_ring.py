@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealaut import GF, QQ, ZZ, RingElement, nth_roots, unit_torsion
+from idealaut.ring import is_prime, multiplicative_order
 from idealaut.errors import (
     CoefficientNotInRing,
     DivisionByZero,
@@ -191,6 +192,58 @@ def test_nth_roots_match_scan_over_fp(p):
         # x = 0 solves only v = 0; nth_roots reports it as the single root then
         got = [e.value for e in nth_roots(ring.elem(v), d)]
         assert got == expected, (p, d, v)
+
+
+# 2^31 - 1, whose p - 1 = 2 * 3^2 * 7 * 11 * 31 * 151 * 331 is smooth, and the
+# largest p < 2^31 with (p - 1)/2 prime: one huge prime-order component
+LARGE_PRIMES = [2**31 - 1, 2147483579]
+
+
+def test_safe_prime_is_the_largest_below_2_31():
+    p = LARGE_PRIMES[1]
+    assert is_prime(p) and is_prime((p - 1) // 2)
+    assert not any(is_prime(q) and is_prime((q - 1) // 2) for q in range(p + 1, 2**31))
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_nth_roots_over_large_primes(p):
+    ring = GF(p)
+    rng = random.Random(p % 1000)
+    for d in (1, 2, 3, 4, 6, 7, 8, 9, 12, 16, 18, 31, 64, 2 * 3 * 7 * 11, 4096):
+        e = int_gcd(d, p - 1)
+        for _ in range(4):
+            y = rng.randrange(1, p)
+            x = pow(y, d, p)
+            roots = [r.value for r in nth_roots(ring.elem(x), d)]
+            assert len(roots) == e and len(set(roots)) == e
+            assert roots == sorted(roots)
+            assert y in roots
+            assert all(pow(r, d, p) == x for r in roots)
+        # x is a d-th power iff x^((p-1)/e) == 1 (Euler's criterion for e)
+        misses = 0
+        while misses < 3 and e > 1:
+            x = rng.randrange(1, p)
+            if pow(x, (p - 1) // e, p) != 1:
+                assert nth_roots(ring.elem(x), d) == []
+                misses += 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 31, 97, 101])
+def test_multiplicative_order_matches_powering(p):
+    for a in range(1, p):
+        k = 1
+        while pow(a, k, p) != 1:
+            k += 1
+        assert multiplicative_order(GF(p).elem(a)) == k
+
+
+def test_multiplicative_order_in_characteristic_zero():
+    for ring in (ZZ, QQ):
+        assert multiplicative_order(ring.elem(1)) == 1
+        assert multiplicative_order(ring.elem(-1)) == 2
+    assert multiplicative_order(QQ.elem(Fraction(1, 2))) is None
+    with pytest.raises(NotAUnit):
+        multiplicative_order(ZZ.elem(2))
 
 
 @settings(max_examples=80, deadline=None)
