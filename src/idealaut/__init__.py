@@ -24,6 +24,7 @@ from .autgroup import (
     shift_conjugate,
     single_root_form,
     verify_aut,
+    witness_family,
 )
 from .factor_fp import (
     DEFAULT_SEED,
@@ -85,4 +86,5 @@ __all__ = [
     "truncated_ideal_check",
     "unit_torsion",
     "verify_aut",
+    "witness_family",
 ]

@@ -8,7 +8,9 @@ the single predicate everything here reduces to.
 The group computation never searches blindly:
 
   * f = (t - a)**n with a in R: the group is all units acting around the
-    fixed point a (returned symbolically as :class:`UnitsGroup`).
+    fixed point a (returned symbolically as :class:`UnitsGroup`); the
+    witnesses between two such ideals are the closed-form
+    :class:`IsoWitnessFamily` (see :func:`witness_family`).
   * otherwise the group is the candidates of :func:`_iso_candidates` (f, f)
     that pass the identity, and isomorphism tests walk the same generator:
       - over Q, or GF(p) with p not dividing n = deg(f): translate t so the
@@ -214,11 +216,7 @@ class UnitsGroup:
         return self.ring.has_finite_units
 
     def order(self):
-        if self.ring.kind == "Z":
-            return 2
-        if self.ring.kind == "F":
-            return self.ring.p - 1
-        return None
+        return _unit_count(self.ring)
 
     def element_for(self, alpha) -> AffineMap:
         alpha = self.ring.elem(alpha)
@@ -245,16 +243,31 @@ class UnitsGroup:
         return f"UnitsGroup[fixed point {self.fixed_point} over {self.ring}]"
 
 
+def _unit_count(ring: Ring):
+    """|R^x|: 2 over Z, p - 1 over GF(p), None (infinite) over Q."""
+    if ring.kind == "Z":
+        return 2
+    if ring.kind == "F":
+        return ring.p - 1
+    return None
+
+
 def groups_equal(a, b) -> bool:
-    """Equality as sets of affine maps, expanding symbolic groups when finite."""
+    """Equality as sets of affine maps; a symbolic group is never expanded.
+
+    A finite group equals R^x around a fixed point when it has |R^x|
+    (distinct) elements and each of them fixes that point.
+    """
     if isinstance(a, UnitsGroup) and isinstance(b, UnitsGroup):
         return a == b
     if isinstance(a, UnitsGroup):
         a, b = b, a
     if isinstance(b, UnitsGroup):
-        if not b.is_finite:
-            return False
-        return a.element_set() == frozenset(b.elements())
+        return (
+            b.order() == a.order
+            and a.elements[0].ring == b.ring
+            and all(b.contains(m) for m in a.elements)
+        )
     return a.element_set() == b.element_set()
 
 
@@ -357,10 +370,30 @@ class IsoWitnessFamily:
     def ring(self) -> Ring:
         return self.source_fixed_point.ring
 
+    @property
+    def size(self):
+        """The number of members: |R^x|, None over Q."""
+        return _unit_count(self.ring)
+
     def witness_for(self, alpha, degree: int) -> IsoWitness:
         alpha = self.ring.elem(alpha)
         beta = self.source_fixed_point - alpha * self.target_fixed_point
         return IsoWitness(AffineMap(alpha, beta), alpha**degree)
+
+    def raw_witnesses(self, degree: int):
+        """Iterator over the members' raw (alpha, beta, lam) values, canonically ordered.
+
+        Over GF(p) these are residues, alpha = 1..p-1; over Z alpha = 1, -1.
+        Q has infinitely many units, so there this raises WrongRing.
+        """
+        ring = self.ring
+        a, b = self.source_fixed_point.value, self.target_fixed_point.value
+        if ring.kind == "Q":
+            raise WrongRing("unit group of Q is infinite")
+        if ring.kind == "Z":
+            return iter(((1, a - b, 1), (-1, a + b, (-1) ** degree)))
+        p = ring.p
+        return ((u, (a - u * b) % p, pow(u, degree, p)) for u in range(1, p))
 
     def __repr__(self):
         return (
@@ -460,22 +493,51 @@ def iso_test(f: Poly, g: Poly):
     return None
 
 
+def witness_family(f: Poly, g: Poly):
+    """The IsoWitnessFamily between f = (t - a)**n and g = (t - b)**n, else None.
+
+    Every pair of single-root inputs of equal degree is isomorphic, and its
+    witnesses are exactly (u, a - u*b) with lam = u**n for every unit u.
+    """
+    fm, gm = _iso_prepare(f, g)
+    if fm.degree() != gm.degree():
+        return None
+    a = single_root_form(fm)
+    b = single_root_form(gm) if a is not None else None
+    if b is None:
+        return None
+    return IsoWitnessFamily(a, b)
+
+
 def all_iso_witnesses(f: Poly, g: Poly):
-    """Every witness: a list, an IsoWitnessFamily (single-root over Q), or None."""
+    """Every witness, canonically ordered by map: a list, or None if not isomorphic.
+
+    For single-root inputs over Q the witnesses are infinitely many and the
+    result is the :class:`IsoWitnessFamily`; over Z and GF(p) the family is
+    listed (p - 1 witnesses over GF(p), so callers facing a large p may want
+    :func:`witness_family` instead).
+    """
+    family = witness_family(f, g)
+    if family is not None:
+        if family.size is None:
+            return family
+        ring = family.ring
+        return [
+            IsoWitness(
+                AffineMap(RingElement(ring, alpha), RingElement(ring, beta)),
+                RingElement(ring, lam),
+            )
+            for alpha, beta, lam in family.raw_witnesses(f.degree())
+        ]
     first = iso_test(f, g)
     if first is None:
         return None
-    fm, gm = _iso_prepare(f, g)
-    n = fm.degree()
-    target_group = compute_aut(gm)
-    if isinstance(target_group, UnitsGroup):
-        if not target_group.is_finite:
-            return IsoWitnessFamily(single_root_form(fm), target_group.fixed_point)
-        pool = target_group.elements()
-    else:
-        pool = target_group.elements
+    gm = g.monic()
+    n = gm.degree()
+    # not single-root, so the target group is an explicit FiniteAutGroup
     witnesses = [
-        IsoWitness(first.map.compose(e), (first.map.alpha * e.alpha) ** n) for e in pool
+        IsoWitness(first.map.compose(e), (first.map.alpha * e.alpha) ** n)
+        for e in compute_aut(gm).elements
     ]
     witnesses.sort(key=lambda w: w.map.sort_key())
     return witnesses

@@ -19,12 +19,12 @@ import sys
 
 from . import __version__
 from .autgroup import (
-    IsoWitnessFamily,
     UnitsGroup,
     all_iso_witnesses,
     compute_aut,
     iso_test,
     verify_aut,
+    witness_family,
 )
 from .errors import IdealAutError, ParseError, TheoryViolation, WrongRing
 from .factor_fp import DEFAULT_SEED, factor, root_permutation
@@ -39,6 +39,9 @@ EXIT_OK = 0
 EXIT_SYNTAX = 2
 EXIT_PRECONDITION = 3
 EXIT_INTERNAL = 4
+
+# single-root witness families larger than this are described, not listed
+MAX_LISTED_WITNESSES = 2**16
 
 
 class Request:
@@ -108,22 +111,35 @@ def _run_iso(request: Request) -> dict:
         "witness": _serialize_witness(witness) if witness else None,
     }
     if witness is not None and request.option("all_witnesses", False):
-        everything = all_iso_witnesses(f, g)
-        if isinstance(everything, IsoWitnessFamily):
-            result["all_witnesses"] = {
-                "kind": "units_of_R_family",
-                "source_fixed_point": str(everything.source_fixed_point),
-                "target_fixed_point": str(everything.target_fixed_point),
-                "description": "(u, {} - u*{}) for every unit u".format(
-                    everything.source_fixed_point, everything.target_fixed_point
-                ),
-            }
-        else:
-            result["all_witnesses"] = {
-                "kind": "list",
-                "witnesses": [_serialize_witness(w) for w in everything],
-            }
+        result["all_witnesses"] = _serialize_all_witnesses(f, g)
     return {"input": {"polynomials": [str(f), str(g)]}, "result": result}
+
+
+def _serialize_all_witnesses(f, g) -> dict:
+    family = witness_family(f, g)
+    if family is None:
+        return {
+            "kind": "list",
+            "witnesses": [_serialize_witness(w) for w in all_iso_witnesses(f, g)],
+        }
+    size = family.size
+    if size is not None and size <= MAX_LISTED_WITNESSES:
+        # straight from the raw residues: no per-witness objects
+        return {
+            "kind": "list",
+            "witnesses": [
+                {"alpha": str(alpha), "beta": str(beta), "lambda": str(lam)}
+                for alpha, beta, lam in family.raw_witnesses(f.degree())
+            ],
+        }
+    return {
+        "kind": "units_of_R_family",
+        "source_fixed_point": str(family.source_fixed_point),
+        "target_fixed_point": str(family.target_fixed_point),
+        "description": "(u, {} - u*{}) for every unit u".format(
+            family.source_fixed_point, family.target_fixed_point
+        ),
+    }
 
 
 def _run_factors(request: Request) -> dict:

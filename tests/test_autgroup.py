@@ -32,6 +32,7 @@ from idealaut import (
     squarefree_decomposition,
     unit_torsion,
     verify_aut,
+    witness_family,
 )
 from idealaut.errors import (
     ConstantPolynomial,
@@ -40,6 +41,7 @@ from idealaut.errors import (
     NotAUnit,
     NotMonic,
     TheoryViolation,
+    WrongRing,
 )
 
 
@@ -470,6 +472,39 @@ def test_all_witnesses_expand_over_finite_unit_rings():
     assert isinstance(everything, list) and len(everything) == 2
     for w in everything:
         assert f.affine_substitute(w.map.alpha, w.map.beta) == w.lam * g
+
+
+def test_single_root_witness_lists_are_the_unit_family():
+    # (t - a)^m -> (t - b)^m: exactly (u, a - u*b) with lam = u^m, alpha ascending
+    cases = ((GF(13), 3, 5, 4), (GF(2), 1, 0, 3), (GF(101), 100, 17, 7),
+             (ZZ, 4, -7, 3), (ZZ, -2, 5, 2))
+    for ring, a, b, m in cases:
+        f, g = Poly(ring, [-a, 1]) ** m, Poly(ring, [-b, 1]) ** m
+        if ring.kind == "Z":
+            expected = [(1, a - b, 1), (-1, a + b, (-1) ** m)]
+        else:
+            p = ring.p
+            expected = [(u, (a - u * b) % p, pow(u, m, p)) for u in range(1, p)]
+        family = witness_family(f, g)
+        assert family.size == len(expected)
+        assert list(family.raw_witnesses(m)) == expected
+        everything = all_iso_witnesses(f, g)
+        assert all(isinstance(w, IsoWitness) for w in everything)
+        assert [(w.map.alpha.value, w.map.beta.value, w.lam.value) for w in everything] == expected
+        assert everything[0] == iso_test(f, g)
+        for w in everything:
+            assert f.affine_substitute(w.map.alpha, w.map.beta) == w.lam * g
+
+
+def test_witness_family_only_for_single_root_pairs_of_equal_degree():
+    assert witness_family(Q("(t-1)^2"), Q("(t-1)^3")) is None
+    assert witness_family(Q("(t-1)^2"), Q("t^2-1")) is None
+    assert witness_family(Q("t^2-1"), Q("(t-1)^2")) is None
+    family = witness_family(Q("2*(t-3)^2"), Q("(t-1)^2"))
+    assert (family.source_fixed_point, family.target_fixed_point) == (QQ.elem(3), QQ.elem(1))
+    assert family.size is None
+    with pytest.raises(WrongRing):
+        family.raw_witnesses(2)
 
 
 # --- p | deg f: value-table candidates, closed-form orders ----------------

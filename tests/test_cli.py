@@ -62,6 +62,94 @@ def test_iso_all_witnesses():
     assert record["result"]["all_witnesses"]["kind"] == "units_of_R_family"
 
 
+def single_root_listing(a, b, m, p):
+    # every witness (u, a - u*b) with lambda = u^m over GF(p), alpha ascending
+    return [
+        {"alpha": str(u), "beta": str((a - u * b) % p), "lambda": str(pow(u, m, p))}
+        for u in range(1, p)
+    ]
+
+
+def test_iso_all_witnesses_single_root_list_over_fp():
+    record, code = run_json("iso", "--ring", "F13", "(t-3)^4", "(t-5)^4", "--all-witnesses")
+    assert code == 0
+    listed = record["result"]["all_witnesses"]
+    assert listed == {"kind": "list", "witnesses": single_root_listing(3, 5, 4, 13)}
+    assert listed["witnesses"][0] == record["result"]["witness"]
+    proc = run_cli("iso", "--ring", "F13", "(t-3)^4", "(t-5)^4", "--all-witnesses")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[4:] == [
+        f"witness: alpha = {w['alpha']}, beta = {w['beta']}, lambda = {w['lambda']}"
+        for w in single_root_listing(3, 5, 4, 13)
+    ]
+
+
+def test_iso_all_witnesses_single_root_list_over_z():
+    record, code = run_json("iso", "--ring", "Z", "(t-4)^3", "(t+7)^3", "--all-witnesses")
+    assert code == 0
+    assert record["result"]["all_witnesses"] == {
+        "kind": "list",
+        "witnesses": [
+            {"alpha": "1", "beta": str(4 - (-7)), "lambda": "1"},
+            {"alpha": "-1", "beta": str(4 + (-7)), "lambda": str((-1) ** 3)},
+        ],
+    }
+    assert record["result"]["all_witnesses"]["witnesses"][0] == record["result"]["witness"]
+    record, code = run_json("iso", "--ring", "Z", "(t-4)^2", "(t+7)^2", "--all-witnesses")
+    assert [w["lambda"] for w in record["result"]["all_witnesses"]["witnesses"]] == ["1", "1"]
+
+
+def test_batch_single_root_witness_lists_over_fp():
+    pairs = [(3, 5, 4), (100, 17, 7)]
+    lines = [
+        json.dumps({"command": "iso", "ring": "F101",
+                    "inputs": [f"(t-{a})^{m}", f"(t-{b})^{m}"],
+                    "options": {"all_witnesses": True}})
+        for a, b, m in pairs
+    ]
+    proc = run_cli("batch", "-", stdin="\n".join(lines) + "\n")
+    assert proc.returncode == 0
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(records) == 2
+    for record, (a, b, m) in zip(records, pairs):
+        listed = record["result"]["all_witnesses"]
+        assert listed == {"kind": "list", "witnesses": single_root_listing(a, b, m, 101)}
+        assert listed["witnesses"][0] == record["result"]["witness"]
+
+
+def test_iso_all_witnesses_large_single_root_family_is_described():
+    # 2^31 - 2 witnesses exceed the listing bound: the family is described
+    args = ("iso", "--ring", "F2147483647", "(t-3)^4", "(t-5)^4", "--all-witnesses")
+    record, code = run_json(*args)
+    assert code == 0
+    assert record["result"]["all_witnesses"] == {
+        "kind": "units_of_R_family",
+        "source_fixed_point": "3",
+        "target_fixed_point": "5",
+        "description": "(u, 3 - u*5) for every unit u",
+    }
+    assert record["result"]["witness"] == {"alpha": "1", "beta": str(2**31 - 3), "lambda": "1"}
+    proc = run_cli(*args)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "witness family: (u, 3 - u*5) for every unit u"
+    line = json.dumps({"command": "iso", "ring": "F2147483647",
+                       "inputs": ["(t-3)^4", "(t-5)^4"], "options": {"all_witnesses": True}})
+    proc = run_cli("batch", "-", stdin=line + "\n")
+    assert proc.returncode == 0
+    records = [json.loads(text) for text in proc.stdout.splitlines()]
+    assert len(records) == 1
+    assert records[0]["result"]["all_witnesses"]["kind"] == "units_of_R_family"
+
+
+def test_single_root_listing_bound_is_two_to_the_sixteen():
+    record, code = run_json("iso", "--ring", "F65537", "(t-1)^2", "t^2", "--all-witnesses")
+    assert code == 0
+    assert len(record["result"]["all_witnesses"]["witnesses"]) == 2**16
+    record, code = run_json("iso", "--ring", "F65539", "(t-1)^2", "t^2", "--all-witnesses")
+    assert code == 0
+    assert record["result"]["all_witnesses"]["kind"] == "units_of_R_family"
+
+
 def test_factors_over_fp_and_q():
     record, code = run_json("factors", "--ring", "F3", "t^3-t")
     assert code == 0

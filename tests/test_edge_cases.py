@@ -11,6 +11,7 @@ from idealaut import (
     Poly,
     UnitsGroup,
     agrees_with,
+    compute_aut,
     enumerate_auts,
     groups_equal,
     parse_poly,
@@ -98,6 +99,19 @@ def test_groups_equal_mixed_kinds():
     assert not groups_equal(UnitsGroup(QQ.elem(2)), units.to_finite())
     assert not groups_equal(units, UnitsGroup(GF(5).elem(3)))
     assert agrees_with(enumerate_auts(f), units)
+
+
+def test_groups_equal_units_against_finite_without_expansion():
+    # 2^31 - 2 units against a group of order 2: decided by the orders
+    big = UnitsGroup(GF(2**31 - 1).elem(3))
+    small = compute_aut(parse_poly("t^2 - 1", GF(2**31 - 1)))
+    assert small.order == 2
+    assert not groups_equal(big, small)
+    assert not groups_equal(small, big)
+    # equal orders: membership decides, and a group over another ring never matches
+    assert not groups_equal(UnitsGroup(GF(5).elem(3)), UnitsGroup(GF(5).elem(2)).to_finite())
+    assert not groups_equal(UnitsGroup(GF(3).elem(0)), compute_aut(parse_poly("t^2 - 1", QQ)))
+    assert groups_equal(UnitsGroup(ZZ.elem(4)), UnitsGroup(ZZ.elem(4)).to_finite())
 
 
 def test_agrees_with_rejects_foreign_objects():
