@@ -1,29 +1,31 @@
 """Automorphism groups of the non-unital algebras generated by monic polynomials.
 
 An affine map (alpha, beta) with alpha a unit acts on R[t] by t -> alpha*t
-+ beta; it restricts to an automorphism of the ideal generated by a monic
-nonconstant f exactly when f(alpha*t + beta) == alpha**deg(f) * f, which is
-the single predicate everything here reduces to.
++ beta; it maps the ideal of a monic nonconstant f onto the ideal of g
+exactly when f(alpha*t + beta) == alpha**deg(f) * g.  One function,
+:func:`_identity_holds`, evaluates that identity, and everything reads one
+stream, :func:`_witnesses`: the candidates of (f, g) that pass it, in
+canonical order.  The group of f is the stream of (f, f), :func:`iso_test`
+returns its first map and :func:`all_iso_witnesses` lists it.  Each input
+costs one squarefree decomposition (:func:`_analyse`).
 
-The group computation never searches blindly:
+The candidates come from the structure theory, never from a blind search:
 
-  * f = (t - a)**n with a in R: the group is all units acting around the
-    fixed point a (returned symbolically as :class:`UnitsGroup`); the
-    witnesses between two such ideals are the closed-form
+  * f = (t - a)**n, g = (t - b)**n with a, b in R: the one candidate
+    (1, a - b).  The group is all units acting around a (the symbolic
+    :class:`UnitsGroup`) and the witnesses are the closed-form
     :class:`IsoWitnessFamily` (see :func:`witness_family`).
-  * otherwise the group is the candidates of :func:`_iso_candidates` (f, f)
-    that pass the identity, and isomorphism tests walk the same generator:
+  * otherwise :func:`_iso_candidates`:
       - over Q, or GF(p) with p not dividing n = deg(f): translate t so the
-        coefficient of t**(n-1) vanishes.  For a centered polynomial any
-        automorphism has beta = 0 and the condition becomes
-        alpha**(n-j) = 1 for every nonzero coefficient c_j, so the
-        candidates are exactly the unit torsion of the gap exponent
-        gcd{n - j : c_j != 0}, and every one must pass;
+        coefficient of t**(n-1) vanishes; for centered f and g with equal
+        support, alpha**(n-j) = cF_j / cG_j for every nonzero coefficient
+        is the identity itself, so every candidate must pass;
       - over Z the units {1, -1}, with beta pinned by the t**(n-1)
-        coefficient: n*beta = (alpha - 1)*c_{n-1};
+        coefficient: n*beta = alpha*c^g_{n-1} - c^f_{n-1};
       - over GF(p) with p | n (so p <= n) the maps whose identity holds at
-        every point of GF(p), read off value tables of f.
+        every point of GF(p), read off value tables of f and g.
 
+A candidate that must pass and fails raises :class:`TheoryViolation`.
 Every element of a finite result passes the defining identity, and its
 order is known in closed form (see :meth:`AffineMap.order`).
 """
@@ -117,24 +119,27 @@ def verify_aut(f: Poly, m: AffineMap) -> bool:
     _require_monic_nonconstant(f)
     if m.ring != f.ring:
         raise MixedRings("map and polynomial live over different rings")
-    return _is_automorphism(f, m)
+    return _identity_holds(f, f, m.alpha, m.beta)
 
 
-def _is_automorphism(f: Poly, m: AffineMap) -> bool:
-    n = f.degree()
-    return f.affine_substitute(m.alpha, m.beta) == (m.alpha**n) * f
+def _identity_holds(f: Poly, g: Poly, alpha: RingElement, beta: RingElement) -> bool:
+    # the defining identity f(alpha*t + beta) == alpha**deg(f) * g
+    return f.affine_substitute(alpha, beta) == alpha ** f.degree() * g
+
+
+def _analyse(f: Poly):
+    """(layer shape, single root or None) of f from one squarefree decomposition."""
+    layers = squarefree_decomposition(f).layers
+    shape = sorted((m, layer.degree()) for layer, m in layers)
+    if len(layers) != 1 or layers[0][0].degree() != 1:
+        return shape, None
+    return shape, -layers[0][0].coeff(0)
 
 
 def single_root_form(f: Poly):
     """a when f is a unit times (t - a)**n with a in R, else None."""
     _require_monic_nonconstant(f)
-    dec = squarefree_decomposition(f)
-    if len(dec.layers) != 1:
-        return None
-    layer, _ = dec.layers[0]
-    if layer.degree() != 1:
-        return None
-    return -layer.coeff(0)
+    return _analyse(f)[1]
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -274,26 +279,14 @@ def groups_equal(a, b) -> bool:
 def compute_aut(f: Poly):
     """The full automorphism group of the ideal generated by monic f.
 
-    Outside the single-root case this is the candidates of
-    ``_iso_candidates(f, f)`` that pass the defining identity.  Over a field
-    where deg f is invertible they are the unit torsion of the centered gap
-    exponent, all of which must pass.
+    Outside the single-root case this is the witness stream of (f, f).
     """
     _require_monic_nonconstant(f)
     fm = f.monic()
-    a = single_root_form(fm)
+    a = _analyse(fm)[1]
     if a is not None:
         return UnitsGroup(a)
-    ring, n = fm.ring, fm.degree()
-    centered_torsion = ring.kind != "Z" and not (ring.char and n % ring.char == 0)
-    elements = []
-    for alpha, beta in _iso_candidates(fm, fm):
-        m = AffineMap(alpha, beta)
-        if _is_automorphism(fm, m):
-            elements.append(m)
-        elif centered_torsion:
-            raise TheoryViolation(f"candidate {m} fails the defining identity")
-    return FiniteAutGroup.from_elements(elements)
+    return FiniteAutGroup.from_elements(list(_witnesses(fm, fm)))
 
 
 def shift_conjugate(grp, z0):
@@ -402,11 +395,6 @@ class IsoWitnessFamily:
         )
 
 
-def _layer_shape(fm: Poly):
-    dec = squarefree_decomposition(fm)
-    return sorted((m, layer.degree()) for layer, m in dec.layers)
-
-
 def _iso_candidates(fm: Poly, gm: Poly):
     # complete candidate list of (alpha, beta), canonically ordered
     ring = fm.ring
@@ -455,12 +443,42 @@ def _iso_candidates(fm: Poly, gm: Poly):
             yield alpha, z_f - alpha * z_g
 
 
-def _iso_prepare(f: Poly, g: Poly):
+def _witnesses(fm: Poly, gm: Poly, a=None, b=None):
+    """The candidate maps of (fm, gm) that pass the identity, canonically ordered.
+
+    a and b are the single roots of fm and gm, or both None.
+    """
+    ring = fm.ring
+    if a is not None:
+        candidates, must_pass = [(ring.one(), a - b)], True
+    else:
+        candidates = _iso_candidates(fm, gm)
+        must_pass = ring.kind != "Z" and not (ring.char and fm.degree() % ring.char == 0)
+    for alpha, beta in candidates:
+        if _identity_holds(fm, gm, alpha, beta):
+            yield AffineMap(alpha, beta)
+        elif must_pass:
+            raise TheoryViolation(f"candidate ({alpha}, {beta}) fails the defining identity")
+
+
+def _pair(f: Poly, g: Poly):
+    """(monic f, monic g, root of f, root of g) if f, g have equal layer shapes.
+
+    The roots are the single roots, both None unless the shape is one
+    linear layer.  None when the degrees or layer shapes differ.
+    """
     _require_monic_nonconstant(f)
     _require_monic_nonconstant(g)
     if f.ring != g.ring:
         raise MixedRings("polynomials live over different rings")
-    return f.monic(), g.monic()
+    fm, gm = f.monic(), g.monic()
+    if fm.degree() != gm.degree():
+        return None
+    shape_f, a = _analyse(fm)
+    shape_g, b = _analyse(gm)
+    if shape_f != shape_g:
+        return None
+    return fm, gm, a, b
 
 
 def iso_test(f: Poly, g: Poly):
@@ -470,27 +488,9 @@ def iso_test(f: Poly, g: Poly):
     (which generate the same ideals): f(alpha*t + beta) = lam * g with
     lam = alpha**deg(f).
     """
-    fm, gm = _iso_prepare(f, g)
-    if fm.degree() != gm.degree():
-        return None
-    if _layer_shape(fm) != _layer_shape(gm):
-        return None
-    a_f = single_root_form(fm)
-    a_g = single_root_form(gm)
-    if (a_f is None) != (a_g is None):
-        return None
-    n = fm.degree()
-    if a_f is not None:
-        candidates = [(fm.ring.one(), a_f - a_g)]
-    else:
-        candidates = _iso_candidates(fm, gm)
-    for alpha, beta in candidates:
-        lam = alpha**n
-        if fm.affine_substitute(alpha, beta) == lam * gm:
-            return IsoWitness(AffineMap(alpha, beta), lam)
-    if a_f is not None:
-        raise TheoryViolation("isomorphism witness fails its defining identity")
-    return None
+    pair = _pair(f, g)
+    m = None if pair is None else next(_witnesses(*pair), None)
+    return None if m is None else IsoWitness(m, m.alpha ** f.degree())
 
 
 def witness_family(f: Poly, g: Poly):
@@ -499,14 +499,10 @@ def witness_family(f: Poly, g: Poly):
     Every pair of single-root inputs of equal degree is isomorphic, and its
     witnesses are exactly (u, a - u*b) with lam = u**n for every unit u.
     """
-    fm, gm = _iso_prepare(f, g)
-    if fm.degree() != gm.degree():
+    pair = _pair(f, g)
+    if pair is None or pair[2] is None:
         return None
-    a = single_root_form(fm)
-    b = single_root_form(gm) if a is not None else None
-    if b is None:
-        return None
-    return IsoWitnessFamily(a, b)
+    return IsoWitnessFamily(pair[2], pair[3])
 
 
 def all_iso_witnesses(f: Poly, g: Poly):
@@ -515,29 +511,24 @@ def all_iso_witnesses(f: Poly, g: Poly):
     For single-root inputs over Q the witnesses are infinitely many and the
     result is the :class:`IsoWitnessFamily`; over Z and GF(p) the family is
     listed (p - 1 witnesses over GF(p), so callers facing a large p may want
-    :func:`witness_family` instead).
+    :func:`witness_family` instead).  Otherwise the list is the whole
+    witness stream of (f, g).
     """
-    family = witness_family(f, g)
-    if family is not None:
-        if family.size is None:
-            return family
-        ring = family.ring
-        return [
-            IsoWitness(
-                AffineMap(RingElement(ring, alpha), RingElement(ring, beta)),
-                RingElement(ring, lam),
-            )
-            for alpha, beta, lam in family.raw_witnesses(f.degree())
-        ]
-    first = iso_test(f, g)
-    if first is None:
+    pair = _pair(f, g)
+    if pair is None:
         return None
-    gm = g.monic()
-    n = gm.degree()
-    # not single-root, so the target group is an explicit FiniteAutGroup
-    witnesses = [
-        IsoWitness(first.map.compose(e), (first.map.alpha * e.alpha) ** n)
-        for e in compute_aut(gm).elements
+    fm, gm, a, b = pair
+    n = fm.degree()
+    if a is None:
+        return [IsoWitness(m, m.alpha**n) for m in _witnesses(fm, gm)] or None
+    family = IsoWitnessFamily(a, b)
+    if family.size is None:
+        return family
+    ring = family.ring
+    return [
+        IsoWitness(
+            AffineMap(RingElement(ring, alpha), RingElement(ring, beta)),
+            RingElement(ring, lam),
+        )
+        for alpha, beta, lam in family.raw_witnesses(n)
     ]
-    witnesses.sort(key=lambda w: w.map.sort_key())
-    return witnesses

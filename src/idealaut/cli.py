@@ -31,7 +31,6 @@ from .factor_fp import DEFAULT_SEED, factor, root_permutation
 from .oracle import MAX_DEGREE, MAX_MODULUS, agrees_with, enumerate_auts
 from .parsing import parse_affine_map, parse_poly, parse_ring
 from .poly import squarefree_decomposition
-from .ring import Ring
 
 SCHEMA = "ideal-aut/1"
 
@@ -42,21 +41,6 @@ EXIT_INTERNAL = 4
 
 # single-root witness families larger than this are described, not listed
 MAX_LISTED_WITNESSES = 2**16
-
-
-class Request:
-    """One unit of work: a command, a ring, input texts, and options."""
-
-    __slots__ = ("command", "ring", "inputs", "options")
-
-    def __init__(self, command: str, ring: Ring, inputs, options=None):
-        self.command = command
-        self.ring = ring
-        self.inputs = list(inputs)
-        self.options = dict(options or {})
-
-    def option(self, key, default):
-        return self.options.get(key, default)
 
 
 def _serialize_map(m) -> dict:
@@ -94,23 +78,23 @@ def _serialize_permutation(perm) -> dict:
     }
 
 
-def _run_aut(request: Request) -> dict:
-    f = parse_poly(request.inputs[0], request.ring)
+def _run_aut(ring, inputs, options) -> dict:
+    f = parse_poly(inputs[0], ring)
     return {
         "input": {"polynomials": [str(f)]},
         "result": {"group": _serialize_group(compute_aut(f))},
     }
 
 
-def _run_iso(request: Request) -> dict:
-    f = parse_poly(request.inputs[0], request.ring)
-    g = parse_poly(request.inputs[1], request.ring)
+def _run_iso(ring, inputs, options) -> dict:
+    f = parse_poly(inputs[0], ring)
+    g = parse_poly(inputs[1], ring)
     witness = iso_test(f, g)
     result = {
         "isomorphic": witness is not None,
         "witness": _serialize_witness(witness) if witness else None,
     }
-    if witness is not None and request.option("all_witnesses", False):
+    if witness is not None and options.get("all_witnesses", False):
         result["all_witnesses"] = _serialize_all_witnesses(f, g)
     return {"input": {"polynomials": [str(f), str(g)]}, "result": result}
 
@@ -142,10 +126,10 @@ def _serialize_all_witnesses(f, g) -> dict:
     }
 
 
-def _run_factors(request: Request) -> dict:
-    f = parse_poly(request.inputs[0], request.ring)
-    if request.ring.kind == "F":
-        factorization = factor(f, seed=request.option("seed", DEFAULT_SEED))
+def _run_factors(ring, inputs, options) -> dict:
+    f = parse_poly(inputs[0], ring)
+    if ring.kind == "F":
+        factorization = factor(f, seed=options.get("seed", DEFAULT_SEED))
         payload = {
             "kind": "irreducible",
             "factors": [
@@ -164,27 +148,27 @@ def _run_factors(request: Request) -> dict:
     return {"input": {"polynomials": [str(f)]}, "result": {"factorization": payload}}
 
 
-def _run_verify(request: Request) -> dict:
-    f = parse_poly(request.inputs[0], request.ring)
-    m = parse_affine_map(request.inputs[1], request.ring)
+def _run_verify(ring, inputs, options) -> dict:
+    f = parse_poly(inputs[0], ring)
+    m = parse_affine_map(inputs[1], ring)
     holds = verify_aut(f, m)
     result = {"map": _serialize_map(m), "holds": holds}
     if holds:
         result["lambda"] = str(m.alpha ** f.degree())
-        if request.ring.kind == "F":
-            perm = root_permutation(f, m, seed=request.option("seed", DEFAULT_SEED))
+        if ring.kind == "F":
+            perm = root_permutation(f, m, seed=options.get("seed", DEFAULT_SEED))
             result["permutation"] = _serialize_permutation(perm)
     return {"input": {"polynomials": [str(f)]}, "result": result}
 
 
-def _run_oracle_compare(request: Request) -> dict:
-    if request.ring.kind != "F":
+def _run_oracle_compare(ring, inputs, options) -> dict:
+    if ring.kind != "F":
         raise WrongRing("oracle-compare requires a prime field ring (F<p>)")
-    f = parse_poly(request.inputs[0], request.ring)
+    f = parse_poly(inputs[0], ring)
     report = enumerate_auts(
         f,
-        max_p=request.option("max_p", MAX_MODULUS),
-        max_deg=request.option("max_deg", MAX_DEGREE),
+        max_p=options.get("max_p", MAX_MODULUS),
+        max_deg=options.get("max_deg", MAX_DEGREE),
         check_truncation=True,
     )
     group = compute_aut(f)
@@ -216,10 +200,13 @@ _HANDLERS = {
 }
 
 
-def run(request: Request) -> tuple[dict, int]:
-    """Execute one request; returns (record, exit code)."""
-    base = {"schema": SCHEMA, "command": request.command, "ring": str(request.ring)}
-    entry = _HANDLERS.get(request.command)
+def run(command: str, ring, inputs, options=None) -> tuple[dict, int]:
+    """Execute one request: a command, a ring, input texts and options.
+
+    Returns (record, exit code).
+    """
+    base = {"schema": SCHEMA, "command": command, "ring": str(ring)}
+    entry = _HANDLERS.get(command)
     if entry is None:
         base.update(
             {"status": "error", "error": {"code": "syntax_error", "message": "unknown command"}}
@@ -227,11 +214,9 @@ def run(request: Request) -> tuple[dict, int]:
         return base, EXIT_SYNTAX
     handler, arity = entry
     try:
-        if len(request.inputs) != arity:
-            raise ParseError(
-                f"command {request.command!r} takes {arity} input(s), got {len(request.inputs)}"
-            )
-        payload = handler(request)
+        if len(inputs) != arity:
+            raise ParseError(f"command {command!r} takes {arity} input(s), got {len(inputs)}")
+        payload = handler(ring, inputs, options or {})
     except IdealAutError as exc:
         code = EXIT_INTERNAL if isinstance(exc, TheoryViolation) else (
             EXIT_SYNTAX if isinstance(exc, ParseError) else EXIT_PRECONDITION
@@ -334,8 +319,8 @@ def _read_inputs(raw_inputs) -> list[str]:
 _OPTION_TYPES = {"seed": int, "max_p": int, "max_deg": int, "all_witnesses": bool}
 
 
-def _batch_request(line: str) -> Request:
-    """One batch line as a Request; ParseError when the line is malformed."""
+def _batch_request(line: str) -> tuple:
+    """One batch line as run's arguments; ParseError when the line is malformed."""
     try:
         entry = json.loads(line)
     except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
@@ -358,7 +343,7 @@ def _batch_request(line: str) -> Request:
         expected = _OPTION_TYPES.get(key)
         if expected is not None and type(value) is not expected:
             raise ParseError(f"option {key!r} must be of type {expected.__name__}")
-    return Request(command, parse_ring(ring), inputs, options)
+    return command, parse_ring(ring), inputs, options
 
 
 def _run_batch(path: str, out) -> int:
@@ -382,7 +367,7 @@ def _run_batch(path: str, out) -> int:
             }
             code = EXIT_SYNTAX
         else:
-            record, code = run(request)
+            record, code = run(*request)
         print(json.dumps(record), file=out)
         if worst == EXIT_OK and code != EXIT_OK:
             worst = code
@@ -477,7 +462,7 @@ def main(argv=None) -> int:
     if hasattr(args, "max_p"):
         options["max_p"] = args.max_p
         options["max_deg"] = args.max_deg
-    record, code = run(Request(args.command, ring, inputs, options))
+    record, code = run(args.command, ring, inputs, options)
     _emit(record, args.format, out)
     return code
 

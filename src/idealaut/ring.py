@@ -25,6 +25,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import (
+    BoundsExceeded,
     CoefficientNotInRing,
     DivisionByZero,
     InexactDivision,
@@ -35,6 +36,9 @@ from .errors import (
 )
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# the most roots of unity nth_roots and unit_torsion list over GF(p)
+MAX_FP_ROOTS = 2**16
 
 
 def is_prime(n: int) -> bool:
@@ -390,11 +394,19 @@ def _roots_of_unity(p: int, e: int) -> list[int]:
     return sorted(values)
 
 
+def _root_count(d: int, p: int) -> int:
+    # gcd(d, p - 1), the number of u with u**d == 1 in GF(p), within the bound
+    e = gcd(d, p - 1)
+    if e > MAX_FP_ROOTS:
+        raise BoundsExceeded(f"{e} roots of unity mod {p} exceed the limit {MAX_FP_ROOTS}")
+    return e
+
+
 def unit_torsion(ring: Ring, g: int) -> list[RingElement]:
     """All units u with u**g == 1, canonically ordered.
 
     For Z and Q this is {1} (g odd) or {1, -1} (g even); for GF(p) the cyclic
-    subgroup of order gcd(g, p-1).
+    subgroup of order gcd(g, p-1), BoundsExceeded above MAX_FP_ROOTS.
     """
     if g < 1:
         raise ValueError("torsion exponent must be >= 1")
@@ -403,7 +415,7 @@ def unit_torsion(ring: Ring, g: int) -> list[RingElement]:
         if g % 2 == 0:
             roots.append(ring.elem(-1))
         return roots
-    return [RingElement(ring, v) for v in _roots_of_unity(ring.p, gcd(g, ring.p - 1))]
+    return [RingElement(ring, v) for v in _roots_of_unity(ring.p, _root_count(g, ring.p))]
 
 
 def _int_nth_root(n: int, d: int) -> int:
@@ -439,7 +451,8 @@ def nth_roots(x: RingElement, d: int) -> list[RingElement]:
 
     Over GF(p), with e = gcd(d, p - 1), x is a d-th power exactly when
     x**((p-1)/e) == 1; one root (:func:`_one_fp_root`) times the e-th roots
-    of unity then gives all e of them, with no search over the field.
+    of unity then gives all e of them, with no search over the field.  An e
+    above MAX_FP_ROOTS raises BoundsExceeded before any root is built.
     """
     if d < 1:
         raise ValueError("root index must be >= 1")
@@ -454,7 +467,7 @@ def nth_roots(x: RingElement, d: int) -> list[RingElement]:
         roots = [Fraction(a, b) for a in nums for b in dens]
     else:
         p = ring.p
-        e = gcd(d, p - 1)
+        e = _root_count(d, p)
         if pow(x.value, (p - 1) // e, p) != 1:
             return []
         y = _one_fp_root(x.value, d, p)

@@ -267,3 +267,28 @@ def test_canonical_sort_order():
         key=RingElement.sort_key,
     )
     assert [str(e) for e in keyed] == ["1", "-1", "1/2", "-1/2", "2", "-2"]
+
+
+def test_fp_root_lists_above_the_bound_raise_before_any_root_is_built(monkeypatch):
+    import idealaut.ring as ring_module
+    from idealaut.errors import BoundsExceeded
+
+    def no_roots(p, e):
+        raise AssertionError("roots of unity were built")
+
+    monkeypatch.setattr(ring_module, "_roots_of_unity", no_roots)
+    p = 2147483647
+    assert int_gcd(p - 1, p - 1) > ring_module.MAX_FP_ROOTS
+    with pytest.raises(BoundsExceeded):
+        nth_roots(GF(p).one(), p - 1)
+    with pytest.raises(BoundsExceeded):
+        unit_torsion(GF(p), p - 1)
+
+
+def test_fp_root_lists_at_the_bound_are_complete():
+    from idealaut.ring import MAX_FP_ROOTS
+
+    p = 65537
+    assert p - 1 == MAX_FP_ROOTS
+    roots = [r.value for r in nth_roots(GF(p).one(), p - 1)]
+    assert roots == list(range(1, p))
