@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealaut import GF, QQ, ZZ, RingElement, nth_roots, unit_torsion
-from idealaut.ring import is_prime, multiplicative_order
+import idealaut.ring as ring_module
+from idealaut.ring import MAX_FP_ROOTS, is_prime, multiplicative_order
 from idealaut.errors import (
+    BoundsExceeded,
     CoefficientNotInRing,
     DivisionByZero,
     InexactDivision,
@@ -270,15 +272,12 @@ def test_canonical_sort_order():
 
 
 def test_fp_root_lists_above_the_bound_raise_before_any_root_is_built(monkeypatch):
-    import idealaut.ring as ring_module
-    from idealaut.errors import BoundsExceeded
-
     def no_roots(p, e):
         raise AssertionError("roots of unity were built")
 
     monkeypatch.setattr(ring_module, "_roots_of_unity", no_roots)
     p = 2147483647
-    assert int_gcd(p - 1, p - 1) > ring_module.MAX_FP_ROOTS
+    assert p - 1 > MAX_FP_ROOTS
     with pytest.raises(BoundsExceeded):
         nth_roots(GF(p).one(), p - 1)
     with pytest.raises(BoundsExceeded):
@@ -286,8 +285,6 @@ def test_fp_root_lists_above_the_bound_raise_before_any_root_is_built(monkeypatc
 
 
 def test_fp_root_lists_at_the_bound_are_complete():
-    from idealaut.ring import MAX_FP_ROOTS
-
     p = 65537
     assert p - 1 == MAX_FP_ROOTS
     roots = [r.value for r in nth_roots(GF(p).one(), p - 1)]
