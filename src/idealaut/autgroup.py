@@ -26,8 +26,9 @@ The candidates come from the structure theory, never from a blind search:
         every point of GF(p), read off value tables of f and g.
 
 A candidate that must pass and fails raises :class:`TheoryViolation`.
-Every element of a finite result passes the defining identity, and its
-order is known in closed form (see :meth:`AffineMap.order`).
+Where every candidate must pass, :func:`compute_aut` checks one generator of
+the (cyclic) group, whose powers pass with it; elsewhere every element is
+checked.  Element orders are in closed form (see :meth:`AffineMap.order`).
 """
 
 from dataclasses import dataclass
@@ -156,26 +157,19 @@ class FiniteAutGroup:
 
     @classmethod
     def from_elements(cls, elements) -> "FiniteAutGroup":
-        """Canonicalize an element list; element orders in closed form.
+        """Canonicalize an element list that must form a group.
 
-        Closure is still checked by composition: along the powers of an
-        element of order |G| when there is one, else along every element's.
+        A finite group of affine maps is the powers of a member whose alpha has
+        the largest order, times every translation when the list holds one.
         """
         unique = sorted(set(elements), key=AffineMap.sort_key)
-        if not unique:
-            raise TheoryViolation("automorphism group came out empty")
-        member = set(unique)
-        if not any(m.is_identity for m in unique):
-            raise TheoryViolation("automorphism group misses the identity")
-        size = len(unique)
-        orders = [(m, m.order()) for m in unique]
-        if any(k is None or k > size for _, k in orders):
-            raise TheoryViolation("element powers escape the group")
-        generator = next((m for m, k in orders if k == size), None)
-        walks = orders if generator is None else [(generator, size)]
-        for m, k in walks:
-            _check_powers(m, k, member)
-        return cls(tuple(unique), size, generator is not None, generator, tuple(orders))
+        if not unique or any(m.order() is None for m in unique):
+            raise TheoryViolation("automorphism group empty or of infinite order")
+        translations = any(m.alpha.is_one and not m.beta.is_zero for m in unique)
+        group = _generated(max(unique, key=lambda m: multiplicative_order(m.alpha)), translations)
+        if group.elements != tuple(unique):
+            raise TheoryViolation("element list is not a group")
+        return group
 
     def element_set(self) -> frozenset:
         return frozenset(self.elements)
@@ -190,14 +184,18 @@ class FiniteAutGroup:
         return f"FiniteAutGroup[order {self.order}{', cyclic' if self.cyclic else ''}: {body}]"
 
 
-def _check_powers(m: AffineMap, k: int, member: set):
-    # m, m**2, ..., m**k are k distinct group elements and m**k is the identity
-    power, seen = m, {m}
-    for _ in range(k - 1):
-        power = power.compose(m)
-        seen.add(power)
-    if not power.is_identity or len(seen) != k or not seen <= member:
-        raise TheoryViolation("element powers escape the group")
+def _generated(rotation: AffineMap, translations: bool) -> FiniteAutGroup:
+    """The powers of rotation, each composed with every translation of GF(p) if asked."""
+    ring = rotation.ring
+    powers = [AffineMap.identity(ring)]
+    for _ in range(multiplicative_order(rotation.alpha) - 1):
+        powers.append(powers[-1].compose(rotation))
+    if translations:
+        powers = [AffineMap(m.alpha, ring.elem(b)) for m in powers for b in range(ring.p)]
+    elements = tuple(sorted(powers, key=AffineMap.sort_key))
+    orders = tuple((m, m.order()) for m in elements)
+    generator = next((m for m, k in orders if k == len(elements)), None)
+    return FiniteAutGroup(elements, len(elements), generator is not None, generator, orders)
 
 
 @dataclass(frozen=True, slots=True, eq=False, repr=False)
@@ -279,14 +277,24 @@ def groups_equal(a, b) -> bool:
 def compute_aut(f: Poly):
     """The full automorphism group of the ideal generated by monic f.
 
-    Outside the single-root case this is the witness stream of (f, f).
+    Where every candidate must pass, they must be the powers of the one checked
+    candidate of largest order; otherwise the group is the stream of (f, f).
     """
     _require_monic_nonconstant(f)
     fm = f.monic()
     a = _analyse(fm)[1]
     if a is not None:
         return UnitsGroup(a)
-    return FiniteAutGroup.from_elements(list(_witnesses(fm, fm)))
+    if not _candidates_must_pass(fm):
+        return FiniteAutGroup.from_elements(list(_witnesses(fm, fm)))
+    candidates = [AffineMap(alpha, beta) for alpha, beta in _iso_candidates(fm, fm)]
+    generator = max(candidates, key=AffineMap.order)
+    if not _identity_holds(fm, fm, generator.alpha, generator.beta):
+        raise TheoryViolation(f"candidate {generator} fails the defining identity")
+    group = _generated(generator, False)
+    if group.element_set() != set(candidates):
+        raise TheoryViolation("the candidates are not the powers of the verified generator")
+    return group
 
 
 def shift_conjugate(grp, z0):
@@ -448,17 +456,21 @@ def _witnesses(fm: Poly, gm: Poly, a=None, b=None):
 
     a and b are the single roots of fm and gm, or both None.
     """
-    ring = fm.ring
     if a is not None:
-        candidates, must_pass = [(ring.one(), a - b)], True
+        candidates, must_pass = [(fm.ring.one(), a - b)], True
     else:
-        candidates = _iso_candidates(fm, gm)
-        must_pass = ring.kind != "Z" and not (ring.char and fm.degree() % ring.char == 0)
+        candidates, must_pass = _iso_candidates(fm, gm), _candidates_must_pass(fm)
     for alpha, beta in candidates:
         if _identity_holds(fm, gm, alpha, beta):
             yield AffineMap(alpha, beta)
         elif must_pass:
             raise TheoryViolation(f"candidate ({alpha}, {beta}) fails the defining identity")
+
+
+def _candidates_must_pass(fm: Poly) -> bool:
+    """Over Q, or GF(p) with p not dividing deg f, every candidate is a witness."""
+    ring = fm.ring
+    return ring.kind != "Z" and not (ring.char and fm.degree() % ring.char == 0)
 
 
 def _pair(f: Poly, g: Poly):

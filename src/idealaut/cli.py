@@ -8,13 +8,14 @@ canonical element text for alpha/beta/lambda values.  Batch mode reads
 one JSON request per line ({"command", "ring", "inputs", "options"}) and
 writes one JSON record per line, in input order.
 
-Exit codes: 0 success, 2 syntax error, 3 precondition violation,
-4 internal assertion (a structure-theory cross-check failed; never
-expected to fire).
+Exit codes: 0 success, 1 standard output closed before everything was
+written, 2 syntax error, 3 precondition violation, 4 internal assertion (a
+structure-theory cross-check failed; never expected to fire).
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -89,23 +90,25 @@ def _run_aut(ring, inputs, options) -> dict:
 def _run_iso(ring, inputs, options) -> dict:
     f = parse_poly(inputs[0], ring)
     g = parse_poly(inputs[1], ring)
-    witness = iso_test(f, g)
+    witness = listed = None
+    if not options.get("all_witnesses", False):
+        witness = iso_test(f, g)
+    elif (family := witness_family(f, g)) is not None:
+        witness = family.witness_for(1, f.degree())
+        listed = _serialize_family(family, f.degree())
+    elif everything := all_iso_witnesses(f, g):
+        witness = everything[0]
+        listed = {"kind": "list", "witnesses": [_serialize_witness(w) for w in everything]}
     result = {
         "isomorphic": witness is not None,
         "witness": _serialize_witness(witness) if witness else None,
     }
-    if witness is not None and options.get("all_witnesses", False):
-        result["all_witnesses"] = _serialize_all_witnesses(f, g)
+    if listed is not None:
+        result["all_witnesses"] = listed
     return {"input": {"polynomials": [str(f), str(g)]}, "result": result}
 
 
-def _serialize_all_witnesses(f, g) -> dict:
-    family = witness_family(f, g)
-    if family is None:
-        return {
-            "kind": "list",
-            "witnesses": [_serialize_witness(w) for w in all_iso_witnesses(f, g)],
-        }
+def _serialize_family(family, degree) -> dict:
     size = family.size
     if size is not None and size <= MAX_LISTED_WITNESSES:
         # straight from the raw residues: no per-witness objects
@@ -113,7 +116,7 @@ def _serialize_all_witnesses(f, g) -> dict:
             "kind": "list",
             "witnesses": [
                 {"alpha": str(alpha), "beta": str(beta), "lambda": str(lam)}
-                for alpha, beta, lam in family.raw_witnesses(f.degree())
+                for alpha, beta, lam in family.raw_witnesses(degree)
             ],
         }
     return {
@@ -422,6 +425,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _main(argv) -> int:
     # exact arithmetic legitimately produces very long integers; lift the
     # interpreter's int-to-str guard so they format instead of erroring
     if hasattr(sys, "set_int_max_str_digits"):

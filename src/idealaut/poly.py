@@ -16,8 +16,9 @@ over Z); :meth:`Poly.monic` rescales the leading unit to 1.
 
 Beyond the arithmetic operators this module provides affine substitution
 ``f(alpha*t + beta)`` (a Taylor shift by beta, then c_j *= alpha**j),
-gcd, the multiplicity-layer squarefree decomposition in characteristic 0
-and p, and the root-centroid utility :func:`center`.
+gcd, the multiplicity-layer squarefree decomposition (one algorithm,
+Musser's, for every characteristic) and the root-centroid utility
+:func:`center`.
 """
 
 from math import gcd as _int_gcd
@@ -419,40 +420,7 @@ def _require_monic_nonconstant(f: Poly):
 def squarefree_decomposition(f: Poly) -> SquarefreeDecomposition:
     """Unique multiplicity-layer decomposition of a monic nonconstant polynomial."""
     _require_monic_nonconstant(f)
-    ring = f.ring
-    if ring.kind == "Z":
-        rational = squarefree_decomposition(f.map_ring(QQ))
-        layers = []
-        for layer, m in rational.layers:
-            if any(v.denominator != 1 for v in layer._values):
-                raise TheoryViolation("monic integer polynomial has non-integer layer")
-            layers.append((layer.map_ring(ring), m))
-        return SquarefreeDecomposition(ring, layers)
-    g = f.monic()
-    if ring.char == 0:
-        return SquarefreeDecomposition(ring, _yun(g))
-    return SquarefreeDecomposition(ring, _squarefree_char_p(g))
-
-
-def _yun(f: Poly):
-    # Yun's algorithm; f monic with leading coefficient 1, char 0
-    layers = []
-    d = gcd(f, f.derivative())
-    if d.degree() == 0:
-        return [(f, 1)]
-    w = f // d
-    y = f.derivative() // d
-    z = y - w.derivative()
-    i = 1
-    while w.degree() > 0:
-        g = gcd(w, z) if not z.is_zero else w
-        if g.degree() > 0:
-            layers.append((g, i))
-        w = w // g
-        y = z // g
-        z = y - w.derivative()
-        i += 1
-    return layers
+    return SquarefreeDecomposition(f.ring, _squarefree(f.monic()))
 
 
 def _pth_root(f: Poly) -> Poly:
@@ -463,7 +431,10 @@ def _pth_root(f: Poly) -> Poly:
     return Poly._of(f.ring, list(f._values[::p]))  # c**(1/p) == c in GF(p)
 
 
-def _squarefree_char_p(f: Poly):
+def _squarefree(f: Poly):
+    # Musser's algorithm; f monic with leading coefficient 1.  Over Z every
+    # gcd and quotient is monic and integral (Gauss's lemma); in characteristic
+    # 0 no derivative vanishes and g ends at 1, so the p-th roots never run
     p = f.ring.char
     layers = []
     scale = 1
